@@ -47,6 +47,7 @@ from .estimator import (
     empirical_coefficients,
     empirical_detail_level,
     term_threshold,
+    threshold_tree,
 )
 from .harness import (
     ConcentrationReport,

@@ -92,11 +92,15 @@ def _refine(values: np.ndarray, h: np.ndarray, level: int) -> np.ndarray:
     return out
 
 
-def _wavelet_table(phi: np.ndarray, h: np.ndarray, depth: int) -> np.ndarray:
-    """Wavelet values on the phi grid via psi(t) = sqrt(2) sum_k g_k phi(2t - k),
-    with the quadrature mirror filter g_k = (-1)^k h[n-1-k]."""
+def _highpass(h: np.ndarray) -> np.ndarray:
+    """Quadrature mirror filter g_k = (-1)^k h[n-1-k] of the lowpass h."""
     n = len(h)
-    g = np.array([(-1) ** k * h[n - 1 - k] for k in range(n)])
+    return np.array([(-1) ** k * h[n - 1 - k] for k in range(n)])
+
+
+def _wavelet_table(phi: np.ndarray, h: np.ndarray, depth: int) -> np.ndarray:
+    """Wavelet values on the phi grid via psi(t) = sqrt(2) sum_k g_k phi(2t - k)."""
+    g = _highpass(h)
     size = len(phi)
     out = np.zeros(size)
     scale = 1 << depth
@@ -299,38 +303,20 @@ def _level_terms(basis: WaveletBasis, kind: str, j: int, x: np.ndarray):
     val = np.empty((s + 1, x.size))
     for m in range(s + 1):
         val[m] = amp * basis.base(kind, t - k0 + m)
-        idx[m] = (k0 - m) % dim
+        idx[m] = (k0 - m) & (dim - 1)
     return idx, val
 
 
 def _level_sums(
-    basis: WaveletBasis,
-    kind: str,
-    j: int,
-    x: np.ndarray,
-    weights: np.ndarray,
-    canonical: bool = False,
+    basis: WaveletBasis, kind: str, j: int, x: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Per-translate weighted sums sum_i w_i f_{j,k}(x_i) for k = 0 .. 2^j - 1.
 
-    With ``canonical=True`` the terms are reduced in sorted (index, value)
-    order, which makes the result bit-identical under any permutation of the
-    input points.
+    Each sum accumulates its terms in input order, so the result depends on
+    the order of ``x`` only through floating-point rounding.
     """
-    dim = 1 << j
     idx, val = _level_terms(basis, kind, j, x)
-    flat = idx.ravel()
-    terms = (val * weights).ravel()
-    out = np.zeros(dim)
-    if canonical:
-        order = np.lexsort((terms, flat))
-        flat = flat[order]
-        terms = terms[order]
-        starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
-        out[flat[starts]] = np.add.reduceat(terms, starts)
-    else:
-        out = np.bincount(flat, weights=terms, minlength=dim)
-    return out
+    return np.bincount(idx.ravel(), weights=(val * weights).ravel(), minlength=1 << j)
 
 
 def evaluate_tree(basis: WaveletBasis, tree: CoefficientTree, x) -> np.ndarray:
@@ -344,13 +330,44 @@ def evaluate_tree(basis: WaveletBasis, tree: CoefficientTree, x) -> np.ndarray:
     return out
 
 
+def _inverse_step(basis: WaveletBasis, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """One periodic synthesis step (Mallat 1989): level-j scaling and detail
+    coefficients to the 2^(j+1) scaling coefficients of level j + 1.
+
+    From phi_{j,k} = sum_m h_m phi_{j+1,2k+m} and psi_{j,k} = sum_m g_m
+    phi_{j+1,2k+m}, with translates wrapped mod 2^(j+1).
+    """
+    dim = 2 * len(alpha)
+    even = np.arange(0, dim, 2)
+    out = np.zeros(dim)
+    for m, (hm, gm) in enumerate(zip(basis.lowpass, _highpass(basis.lowpass))):
+        out[(even + m) % dim] += hm * alpha + gm * beta
+    return out
+
+
 def synthesize(basis: WaveletBasis, tree: CoefficientTree, grid_size: int) -> np.ndarray:
-    """Values of the wavelet series on the midpoint grid of ``grid_size`` points."""
+    """Values of the wavelet series on the midpoint grid of ``grid_size`` points.
+
+    The inverse periodic DWT lifts the tree to scaling coefficients at level
+    J = jmax + 1 (j0 when the tree has no detail levels); one evaluation of
+    the level-J scaling translates on the midpoints then gives the values.
+    ``grid_size`` must be a power of two, so no midpoint lands on a level-J
+    breakpoint and, for a deep enough table, every point is a table node.
+    """
+    if grid_size < 1 or grid_size & (grid_size - 1):
+        raise ValueError(f"grid_size={grid_size} must be a power of two")
     if grid_size < 1 << (max(tree.jmax, tree.j0) + 2):
         raise ValueError(
             f"grid_size={grid_size} cannot resolve levels up to {tree.jmax}"
         )
-    return evaluate_tree(basis, tree, midpoint_grid(grid_size))
+    alpha = tree.alpha
+    for b in tree.beta:
+        alpha = _inverse_step(basis, alpha, b)
+    # Every level-J cell holds the same midpoint offsets, so the values of
+    # the first cell serve all of them: cell c sees translate (c - m) mod 2^J.
+    top = tree.j0 + len(tree.beta)
+    _, val = _level_terms(basis, "father", top, midpoint_grid(grid_size)[: grid_size >> top])
+    return sum(np.outer(np.roll(alpha, m), v) for m, v in enumerate(val)).ravel()
 
 
 def exact_coefficients(

@@ -14,7 +14,6 @@ import json
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import __version__
 from .basis import make_basis, midpoint_grid, synthesize
 from .design import density_from_spec, read_sample_csv
-from .estimator import block_statistic, blockshrink, empirical_coefficients
+from .estimator import blockshrink
 from .harness import (
     ExperimentConfig,
     check_concentration,
@@ -57,8 +56,6 @@ def parse_config(path) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     kwargs = {k: v for k, v in raw.items() if k in _CONFIG_KEYS}
-    if "n_grid" in kwargs:
-        kwargs["n_grid"] = tuple(int(n) for n in kwargs["n_grid"])
     if isinstance(kwargs.get("signal"), str):
         kwargs["signal"] = {"name": kwargs["signal"]}
     if isinstance(kwargs.get("density"), str):
@@ -67,12 +64,6 @@ def parse_config(path) -> ExperimentConfig:
     config.extras = {k: raw[k] for k in _EXTRA_KEYS if k in raw}
     try:
         config.validate()
-        ball = config.ball_spec()
-        if not ball.theorem_applicable:
-            bound = (0 if ball.pi == float("inf") else 1 / ball.pi) + Fraction(1, 2)
-            raise ValueError(
-                f"ball smoothness s={ball.s} out of range: need s > 1/pi + 1/2 = {bound}"
-            )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config
@@ -140,6 +131,8 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.grid < 1 or args.grid & (args.grid - 1):
+        raise ConfigError(f"--grid={args.grid} must be a power of two")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sample = read_sample_csv(args.input)
@@ -164,14 +157,11 @@ def _cmd_fit(args) -> int:
     est_path = out_dir / "estimate.csv"
     _write_csv(est_path, "x,fhat", zip(midpoint_grid(args.grid), map(float, values)))
     manifest.add_output(est_path)
-    cut = est.threshold / np.sqrt(sample.n)
-    raw = empirical_coefficients(sample, density, basis, est.grid)
-    rows = []
-    for j in est.grid.levels():
-        edges = est.grid.boundaries(j)
-        for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-            stat = block_statistic(raw.detail(j)[lo:hi], args.p)
-            rows.append((j, b, float(stat), float(cut), bool(est.kept_blocks(j)[b])))
+    rows = [
+        (j, b, float(stat), est.cut, bool(kept))
+        for j, stats, mask in zip(est.grid.levels(), est.statistics, est.kept)
+        for b, (stat, kept) in enumerate(zip(stats, mask))
+    ]
     blocks_path = out_dir / "blocks.csv"
     _write_csv(blocks_path, "j,K,statistic,threshold,kept", rows)
     manifest.add_output(blocks_path)

@@ -117,26 +117,33 @@ def density_from_spec(spec) -> DesignDensity:
     """
     if isinstance(spec, DesignDensity):
         return spec
-    if isinstance(spec, str):
-        parts = spec.split(":")
-        name = parts[0]
-        if name == "uniform":
+    if not isinstance(spec, (str, dict)):
+        raise ValueError(f"density must be a string or an object, got {spec!r}")
+    try:
+        if isinstance(spec, str):
+            parts = spec.split(":")
+            name = parts[0]
+            if name == "uniform":
+                return uniform_design()
+            if name == "linear-tilt":
+                return linear_tilt_design(float(parts[1]))
+            if name == "piecewise":
+                breaks = [float(v) for v in parts[1].split(",") if v]
+                values = [float(v) for v in parts[2].split(",")]
+                return piecewise_design(breaks, values)
+            raise ValueError(f"unknown density spec {spec!r}")
+        kind = spec.get("kind")
+        if kind == "uniform":
             return uniform_design()
-        if name == "linear-tilt":
-            return linear_tilt_design(float(parts[1]))
-        if name == "piecewise":
-            breaks = [float(v) for v in parts[1].split(",") if v]
-            values = [float(v) for v in parts[2].split(",")]
-            return piecewise_design(breaks, values)
-        raise ValueError(f"unknown density spec {spec!r}")
-    kind = spec.get("kind")
-    if kind == "uniform":
-        return uniform_design()
-    if kind == "linear-tilt":
-        return linear_tilt_design(float(spec["slope"]))
-    if kind == "piecewise":
-        return piecewise_design(spec["breaks"], spec["values"])
-    raise ValueError(f"unknown density kind {kind!r}")
+        if kind == "linear-tilt":
+            return linear_tilt_design(float(spec["slope"]))
+        if kind == "piecewise":
+            return piecewise_design(spec["breaks"], spec["values"])
+        raise ValueError(f"unknown density kind {kind!r}")
+    except KeyError as exc:
+        raise ValueError(f"density {spec!r} lacks the key {exc.args[0]!r}") from exc
+    except (IndexError, TypeError) as exc:
+        raise ValueError(f"density {spec!r} is malformed: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -103,17 +103,16 @@ def empirical_coefficients(
 ) -> CoefficientTree:
     """Unthresholded reweighted empirical coefficients on the grid's levels.
 
-    The per-coefficient sums reduce their terms in a canonical sorted order,
-    so permuting the sample leaves every coefficient bit-identical.
+    The sample is sorted once into canonical (x, y) order before the sums,
+    so permuting it leaves every coefficient bit-identical.
     """
     if sample.n < 1:
         raise ValueError("sample is empty")
-    w = _weights(sample, density)
-    alpha = _level_sums(basis, "father", grid.j_low, sample.x, w, canonical=True)
-    beta = [
-        _level_sums(basis, "mother", j, sample.x, w, canonical=True)
-        for j in grid.levels()
-    ]
+    order = np.lexsort((sample.y, sample.x))
+    x = sample.x[order]
+    w = _weights(sample, density)[order]
+    alpha = _level_sums(basis, "father", grid.j_low, x, w)
+    beta = [_level_sums(basis, "mother", j, x, w) for j in grid.levels()]
     return CoefficientTree(j0=grid.j_low, jmax=grid.j_high, alpha=alpha, beta=beta)
 
 
@@ -127,16 +126,71 @@ def empirical_detail_level(
 
 @dataclass(eq=False)
 class Estimate:
-    """A thresholded coefficient tree plus the decisions that produced it."""
+    """A thresholded coefficient tree plus the decisions that produced it.
+
+    ``threshold`` is the rule's constant and ``cut`` the value it compared
+    against.  ``statistics[i]`` holds the block statistics of the
+    unthresholded level j_low + i, and ``kept[i]`` marks that level's blocks
+    with a surviving coefficient; under the block rule
+    kept == (statistics >= cut) exactly.
+    """
 
     tree: CoefficientTree
     grid: BlockGrid
     threshold: float
+    cut: float
     kept: list
+    statistics: list
     basis: WaveletBasis
 
     def kept_blocks(self, j: int) -> np.ndarray:
         return self.kept[j - self.grid.j_low]
+
+
+def threshold_tree(
+    raw: CoefficientTree, grid: BlockGrid, basis: WaveletBasis, rule: str, constant: float
+) -> Estimate:
+    """Apply one thresholding rule to a copy of the unthresholded tree ``raw``.
+
+    ``rule="block"`` keeps a detail block iff its statistic (see
+    block_statistic) reaches constant / sqrt(n) and zeroes it otherwise.
+    ``"hard"`` and ``"soft"`` threshold each detail coefficient at
+    constant * sqrt(ln n / n); soft also shrinks survivors toward zero by
+    that cut.  Scaling coefficients are never thresholded.
+    """
+    n, p = grid.n, grid.p
+    if rule == "block":
+        if constant < 0:
+            raise ValueError("threshold constant must be nonnegative")
+        cut = constant / math.sqrt(n)
+    elif rule in ("hard", "soft"):
+        if constant <= 0:
+            raise ValueError("threshold constant must be positive")
+        cut = constant * math.sqrt(math.log(n) / n)
+    else:
+        raise ValueError(f"rule must be 'block', 'hard' or 'soft', got {rule!r}")
+    tree = raw.copy()
+    kept, statistics = [], []
+    for j in grid.levels():
+        level = tree.detail(j)
+        edges = grid.boundaries(j)
+        starts, sizes = edges[:-1], np.diff(edges)
+        stat = (np.add.reduceat(np.abs(level) ** p, starts) / sizes) ** (1.0 / p)
+        if rule == "block":
+            mask = stat >= cut
+            level[~np.repeat(mask, sizes)] = 0.0
+        else:
+            if rule == "hard":
+                level[np.abs(level) < cut] = 0.0
+            else:
+                level[:] = np.sign(level) * np.maximum(np.abs(level) - cut, 0.0)
+            mask = np.add.reduceat(level != 0.0, starts) > 0
+        kept.append(mask)
+        statistics.append(stat)
+    return Estimate(
+        tree=tree, grid=grid, threshold=float(constant), cut=cut, kept=kept,
+        statistics=statistics, basis=basis,
+    )
 
 
 def blockshrink(
@@ -153,23 +207,9 @@ def blockshrink(
     threshold constant 4 keeps the pure-noise false-keep rate per block
     well below 1% at desk-scale n (see scripts/calibrate_threshold.py).
     """
-    if threshold < 0:
-        raise ValueError("threshold constant must be nonnegative")
     grid = block_grid(sample.n, p, basis.coarsest_level)
-    tree = empirical_coefficients(sample, density, basis, grid)
-    cut = threshold / math.sqrt(sample.n)
-    kept = []
-    for j in grid.levels():
-        level = tree.detail(j)
-        edges = grid.boundaries(j)
-        mask = np.zeros(len(edges) - 1, dtype=bool)
-        for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-            if block_statistic(level[lo:hi], p) >= cut:
-                mask[b] = True
-            else:
-                level[lo:hi] = 0.0
-        kept.append(mask)
-    return Estimate(tree=tree, grid=grid, threshold=float(threshold), kept=kept, basis=basis)
+    raw = empirical_coefficients(sample, density, basis, grid)
+    return threshold_tree(raw, grid, basis, "block", threshold)
 
 
 def term_threshold(
@@ -189,21 +229,6 @@ def term_threshold(
     """
     if mode not in ("hard", "soft"):
         raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
-    if c <= 0:
-        raise ValueError("threshold constant must be positive")
     grid = block_grid(sample.n, p, basis.coarsest_level)
-    tree = empirical_coefficients(sample, density, basis, grid)
-    cut = c * math.sqrt(math.log(sample.n) / sample.n)
-    kept = []
-    for j in grid.levels():
-        level = tree.detail(j)
-        if mode == "hard":
-            level[np.abs(level) < cut] = 0.0
-        else:
-            level[:] = np.sign(level) * np.maximum(np.abs(level) - cut, 0.0)
-        edges = grid.boundaries(j)
-        mask = np.array(
-            [np.any(level[lo:hi] != 0.0) for lo, hi in zip(edges[:-1], edges[1:])]
-        )
-        kept.append(mask)
-    return Estimate(tree=tree, grid=grid, threshold=float(c), kept=kept, basis=basis)
+    raw = empirical_coefficients(sample, density, basis, grid)
+    return threshold_tree(raw, grid, basis, mode, c)

@@ -15,22 +15,39 @@ perturbs existing replications, and thread count does not affect results.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from fractions import Fraction
 
 import numpy as np
 
 from .basis import make_basis, midpoint_grid, synthesize
 from .besov import BesovBall, make_test_function, rate_spec
-from .design import density_from_spec, generate_sample
+from .design import DesignDensity, density_from_spec, generate_sample
 from .estimator import (
     block_grid,
-    blockshrink,
+    empirical_coefficients,
     empirical_detail_level,
-    term_threshold,
+    threshold_tree,
 )
 
 _Z95 = 1.959963984540054
+
+# Accepted Python types per annotated field type; bool is never a number here.
+_FIELD_TYPES = {
+    "int": numbers.Integral,
+    "float": numbers.Real,
+    "bool": bool,
+    "str": str,
+    "tuple": (list, tuple),
+    "dict": (dict, str),
+}
+
+
+def _require_keys(name: str, spec, keys) -> None:
+    if not isinstance(spec, dict) or not set(keys) <= set(spec):
+        raise ValueError(f"{name} must be an object with keys {', '.join(keys)}, got {spec!r}")
 
 
 @dataclass
@@ -55,8 +72,19 @@ class ExperimentConfig:
     slope_tol: float = 0.15
     moment_tol: float = 0.3
 
-    def validate(self) -> None:
-        ns = tuple(int(n) for n in self.n_grid)
+    def validate(self) -> DesignDensity:
+        """Check every field and return the design density the config describes.
+
+        Raises ValueError naming the first malformed or out-of-range field.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = _FIELD_TYPES[f.type]
+            if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+        ns = tuple(self.n_grid)
+        if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in ns):
+            raise ValueError(f"n_grid entries must be integers, got {list(ns)!r}")
         if len(ns) == 0 or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_grid must be strictly increasing")
         if min(ns) < 256:
@@ -67,9 +95,23 @@ class ExperimentConfig:
             raise ValueError(f"p={self.p} out of range (need p >= 2)")
         if self.d < 0:
             raise ValueError("threshold constant d must be nonnegative")
-        if self.risk_grid < 1024:
-            raise ValueError("risk grid must hold at least 1024 points")
-        BesovBall(self.ball["s"], self.ball["pi"], self.ball.get("r", "inf"))
+        if self.risk_grid < 1024 or self.risk_grid & (self.risk_grid - 1):
+            raise ValueError(
+                f"risk_grid={self.risk_grid} must be a power of two of at least 1024"
+            )
+        if isinstance(self.signal, dict) and "random_besov" in self.signal:
+            _require_keys("signal.random_besov", self.signal["random_besov"], ("s", "pi", "seed"))
+        _require_keys("ball", self.ball, ("s", "pi"))
+        try:
+            ball = self.ball_spec()
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"ball {self.ball!r} is malformed: {exc}") from exc
+        if not ball.theorem_applicable:
+            bound = (0 if ball.pi == float("inf") else 1 / ball.pi) + Fraction(1, 2)
+            raise ValueError(
+                f"ball smoothness s={ball.s} out of range: need s > 1/pi + 1/2 = {bound}"
+            )
+        return density_from_spec(self.density)
 
     def ball_spec(self) -> BesovBall:
         return BesovBall(self.ball["s"], self.ball["pi"], self.ball.get("r", "inf"))
@@ -126,9 +168,8 @@ def wilson_upper(successes: int, trials: int, z: float = _Z95) -> float:
 
 
 def _materialize(config: ExperimentConfig):
-    config.validate()
+    density = config.validate()
     basis = make_basis(config.basis_family, config.refine_depth)
-    density = density_from_spec(config.density)
     signal = make_test_function(config.signal, basis, config.jmax)
     return basis, density, signal
 
@@ -181,28 +222,31 @@ def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RiskRepor
     """
     basis, density, signal = _materialize(config)
     ball = config.ball_spec()
-    if not ball.theorem_applicable:
-        raise ValueError("configured ball lies outside the supported smoothness range")
     rate = rate_spec(ball.s, ball.pi, ball.r, config.p)
     truth = signal.fn(midpoint_grid(config.risk_grid))
     ns = tuple(int(n) for n in config.n_grid)
     R = config.replications
+    grids = {n: block_grid(n, config.p, basis.coarsest_level) for n in ns}
+    rules = [("block", config.d)]
+    if config.compare_term:
+        rules += [("hard", config.term_c), ("soft", config.term_c)]
 
     def one(n: int, rep: int):
         sample = generate_sample(
             signal.fn, density, n, replication_seed(config.master_seed, n, rep),
             noiseless=config.noiseless,
         )
-        est = blockshrink(sample, density, basis, config.p, config.d)
-        vals = synthesize(basis, est.tree, config.risk_grid)
-        out = [lp_risk(vals, truth, config.p)]
-        if config.compare_term:
-            for mode in ("hard", "soft"):
-                alt = term_threshold(sample, density, basis, mode, config.term_c, config.p)
-                out.append(lp_risk(synthesize(basis, alt.tree, config.risk_grid), truth, config.p))
-        return out
+        raw = empirical_coefficients(sample, density, basis, grids[n])
+        return [
+            lp_risk(
+                synthesize(basis, threshold_tree(raw, grids[n], basis, rule, c).tree,
+                           config.risk_grid),
+                truth, config.p,
+            )
+            for rule, c in rules
+        ]
 
-    width = 3 if config.compare_term else 1
+    width = len(rules)
     risks = {n: np.empty((R, width)) for n in ns}
     jobs = [(n, rep) for n in ns for rep in range(R)]
     if threads > 1:

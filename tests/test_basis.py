@@ -8,6 +8,7 @@ import pytest
 from blockshrink import (
     CoefficientTree,
     concentration_ratio,
+    evaluate_tree,
     exact_coefficients,
     make_basis,
     make_test_function,
@@ -179,6 +180,42 @@ class TestSynthesize:
         tree = CoefficientTree(0, 8, np.zeros(1), [np.zeros(1 << j) for j in range(9)])
         with pytest.raises(ValueError, match="cannot resolve"):
             synthesize(haar, tree, 512)
+
+    def test_grid_must_be_dyadic(self, haar):
+        # Off a dyadic grid, midpoints can land on level-J Haar breakpoints.
+        tree = CoefficientTree(0, 8, np.zeros(1), [np.zeros(1 << j) for j in range(9)])
+        with pytest.raises(ValueError, match="grid_size=10000 must be a power of two"):
+            synthesize(haar, tree, 10000)
+
+    @pytest.mark.parametrize(
+        "family,depth,gridexp,tol",
+        [
+            ("haar", 12, 11, 1e-12),
+            ("haar", 12, 14, 1e-12),
+            # Not depth 12: there the direct path interpolates the level-2
+            # tables between nodes (off by about 2e-2); the filter bank
+            # evaluates only on nodes.
+            ("db4", 16, 14, 1e-12),
+            # The db6 filter constants are orthonormal to about 5e-12 only.
+            ("db6", 12, 14, 1e-9),
+        ],
+    )
+    def test_filter_bank_matches_direct_evaluation(self, family, depth, gridexp, tol):
+        basis = make_basis(family, depth)
+        rng = np.random.default_rng(21)
+        j0 = basis.coarsest_level
+        tree = CoefficientTree(
+            j0, 8, rng.normal(size=1 << j0),
+            [rng.normal(size=1 << j) * 2.0**-j for j in range(j0, 9)],
+        )
+        grid = 1 << gridexp
+        fast = synthesize(basis, tree, grid)
+        direct = evaluate_tree(basis, tree, midpoint_grid(grid))
+        assert np.max(np.abs(fast - direct)) <= tol
+        coarse = CoefficientTree(j0, j0 - 1, tree.alpha, [])
+        assert np.max(np.abs(
+            synthesize(basis, coarse, grid) - evaluate_tree(basis, coarse, midpoint_grid(grid))
+        )) <= tol
 
 
 class TestRoundTrip:

@@ -52,6 +52,27 @@ class TestParseConfig:
             parse_config(write_config(tmp_path / "c.json", n_grid=[128, 512]))
 
 
+@pytest.mark.parametrize(
+    "override,field",
+    [
+        ({"replications": "100"}, "replications"),
+        ({"n_grid": 1024}, "n_grid"),
+        ({"density": {"kind": "linear-tilt"}}, "density"),
+        ({"ball": {"s": 1}}, "ball"),
+        ({"signal": {"random_besov": {"s": 2, "seed": 1}}}, "random_besov"),
+        ({"risk_grid": 10000}, "risk_grid"),
+    ],
+    ids=["replications-str", "n_grid-int", "tilt-no-slope", "ball-no-pi",
+         "besov-no-pi", "risk_grid-not-dyadic"],
+)
+@pytest.mark.parametrize("command", ["rates", "diagnose"])
+def test_malformed_config_exits_two_naming_field(tmp_path, capsys, command, override, field):
+    cfg = write_config(tmp_path / "c.json", **override)
+    assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+
+
 class TestDispatch:
     def test_unknown_subcommand_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -83,6 +104,16 @@ class TestDispatch:
         blocks = (out / "blocks.csv").read_text().splitlines()
         assert blocks[0] == "j,K,statistic,threshold,kept"
         assert len(blocks) > 1
+        for row in blocks[1:]:
+            _, _, stat, cut, kept = row.split(",")
+            assert (kept == "True") == (float(stat) >= float(cut))
+
+    def test_fit_rejects_non_dyadic_grid(self, tmp_path, capsys):
+        csv = tmp_path / "sample.csv"
+        write_sample_csv(csv, generate_sample(np.sin, uniform_design(), 1024, seed=9))
+        code = main(["fit", "--input", str(csv), "--grid", "10000", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "--grid" in capsys.readouterr().err
 
     def test_rates_passing_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")

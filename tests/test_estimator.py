@@ -180,13 +180,13 @@ class TestEmpiricalCoefficients:
                 t12.detail(j), t1.detail(j) + t2.detail(j), rtol=0, atol=1e-12
             )
 
-    def test_permutation_bit_identical(self, haar, db4):
+    def test_permutation_bit_identical(self, haar, db4, db6):
         rng = np.random.default_rng(9)
         x = rng.random(2048)
         y = rng.normal(size=2048)
         perm = rng.permutation(2048)
         density = uniform_design()
-        for basis in (haar, db4):
+        for basis in (haar, db4, db6):
             grid = block_grid(2048, 2.0, basis.coarsest_level)
             t1 = empirical_coefficients(Sample(2048, x, y, 0), density, basis, grid)
             t2 = empirical_coefficients(Sample(2048, x[perm], y[perm], 0), density, basis, grid)
@@ -208,15 +208,17 @@ class TestEmpiricalCoefficients:
         with pytest.raises(RuntimeError, match="certified bounds"):
             empirical_coefficients(s, BrokenDensity(), haar, grid)
 
-    def test_fast_level_path_matches_tree(self, haar):
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    def test_fast_level_path_matches_tree(self, request, family):
         from blockshrink import empirical_detail_level
 
+        basis = request.getfixturevalue(family)
         density = uniform_design()
         s = generate_sample(lambda x: np.sin(2 * np.pi * x), density, 1024, seed=14)
-        grid = block_grid(1024, 2.0, 0)
-        tree = empirical_coefficients(s, density, haar, grid)
+        grid = block_grid(1024, 2.0, basis.coarsest_level)
+        tree = empirical_coefficients(s, density, basis, grid)
         for j in grid.levels():
-            fast = empirical_detail_level(s, density, haar, j)
+            fast = empirical_detail_level(s, density, basis, j)
             assert np.allclose(fast, tree.detail(j), rtol=1e-12, atol=1e-15)
 
     def test_noiseless_consistency_rate(self, haar):
@@ -265,6 +267,7 @@ class TestBlockShrink:
             edges = est.grid.boundaries(j)
             for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
                 stat = block_statistic(raw.detail(j)[lo:hi], 2.0)
+                assert est.statistics[j - est.grid.j_low][b] == pytest.approx(stat, rel=1e-14)
                 assert est.kept_blocks(j)[b] == (stat >= cut)
                 if not est.kept_blocks(j)[b]:
                     assert np.all(est.tree.detail(j)[lo:hi] == 0.0)

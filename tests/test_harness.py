@@ -13,12 +13,15 @@ from blockshrink import (
     empirical_coefficients,
     fit_rate,
     generate_sample,
+    linear_tilt_design,
     lp_risk,
     make_basis,
     make_test_function,
     midpoint_grid,
+    replication_seed,
     run_rate_experiment,
     synthesize,
+    term_threshold,
     uniform_design,
     wilson_upper,
 )
@@ -156,6 +159,45 @@ class TestRunRateExperiment:
             ExperimentConfig(replications=10).validate()
         with pytest.raises(ValueError, match="p="):
             ExperimentConfig(p=1.0).validate()
+        with pytest.raises(ValueError, match="risk_grid=10000 must be a power of two"):
+            ExperimentConfig(risk_grid=10000).validate()
+
+    def test_shared_tree_matches_separate_estimators(self):
+        """One coefficient tree per replication gives the risks of the
+        public per-rule estimators run on the same seeded samples."""
+        config = ExperimentConfig(
+            signal={"name": "heavisine"},
+            density={"kind": "linear-tilt", "slope": 0.5},
+            n_grid=(256, 512, 1024),
+            replications=50,
+            master_seed=8,
+            compare_term=True,
+            slope_tol=5.0,
+        )
+        report = run_rate_experiment(config)
+        basis = make_basis("haar", 12)
+        density = linear_tilt_design(0.5)
+        sig = make_test_function("heavisine", basis, config.jmax)
+        truth = sig.fn(midpoint_grid(config.risk_grid))
+        for i, n in enumerate(config.n_grid):
+            risks = np.empty((config.replications, 3))
+            for rep in range(config.replications):
+                sample = generate_sample(
+                    sig.fn, density, n, replication_seed(config.master_seed, n, rep)
+                )
+                estimates = [
+                    blockshrink(sample, density, basis, config.p, config.d),
+                    term_threshold(sample, density, basis, "hard", config.term_c, config.p),
+                    term_threshold(sample, density, basis, "soft", config.term_c, config.p),
+                ]
+                risks[rep] = [
+                    lp_risk(synthesize(basis, est.tree, config.risk_grid), truth, config.p)
+                    for est in estimates
+                ]
+            row = report.comparison[i]
+            assert report.mean_risk[i] == row["block"] == float(risks[:, 0].mean())
+            assert row["hard"] == float(risks[:, 1].mean())
+            assert row["soft"] == float(risks[:, 2].mean())
 
     def test_ball_gate(self):
         config = ExperimentConfig(ball={"s": 1, "pi": 1, "r": 1})
