@@ -208,18 +208,17 @@ class TestEmpiricalCoefficients:
         with pytest.raises(RuntimeError, match="certified bounds"):
             empirical_coefficients(s, BrokenDensity(), haar, grid)
 
-    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
-    def test_fast_level_path_matches_tree(self, request, family):
+    def test_fast_level_path_matches_tree(self, haar, db4, db6):
         from blockshrink import empirical_detail_level
 
-        basis = request.getfixturevalue(family)
         density = uniform_design()
         s = generate_sample(lambda x: np.sin(2 * np.pi * x), density, 1024, seed=14)
-        grid = block_grid(1024, 2.0, basis.coarsest_level)
-        tree = empirical_coefficients(s, density, basis, grid)
-        for j in grid.levels():
-            fast = empirical_detail_level(s, density, basis, j)
-            assert np.allclose(fast, tree.detail(j), rtol=1e-12, atol=1e-15)
+        for basis in (haar, db4, db6):
+            grid = block_grid(1024, 2.0, basis.coarsest_level)
+            tree = empirical_coefficients(s, density, basis, grid)
+            for j in grid.levels():
+                fast = empirical_detail_level(s, density, basis, j)
+                assert np.allclose(fast, tree.detail(j), rtol=1e-12, atol=1e-15)
 
     def test_noiseless_consistency_rate(self, haar):
         # finite wavelet polynomial: coefficient RMS error shrinks ~ n^{-1/2}
