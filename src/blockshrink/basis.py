@@ -181,25 +181,35 @@ class WaveletBasis:
         return 2.0 ** (j / 2.0) * total
 
 
-def make_basis(family: str, refine_depth: int = 12) -> WaveletBasis:
-    """Construct a tabulated periodized basis for one of the built-in families.
+def coarsest_level(family: str) -> int:
+    """First level at which the periodized translates of ``family`` stop overlapping.
 
-    Raises ValueError for an unknown family or a refinement depth too small
-    for the construction-time orthonormality checks.
+    Raises ValueError for an unknown family.
     """
     key = _ALIASES.get(str(family).lower())
     if key is None:
         raise ValueError(
             f"unknown wavelet family {family!r}; supported: {', '.join(SUPPORTED_FAMILIES)}"
         )
-    if refine_depth < 8:
+    return (len(_FILTERS[key]) - 2).bit_length()
+
+
+def make_basis(family: str, refine_depth: int = 12) -> WaveletBasis:
+    """Construct a tabulated periodized basis for one of the built-in families.
+
+    Raises ValueError for an unknown family, or a refinement depth below 8
+    (too coarse for the construction-time orthonormality checks) or above 20
+    (the cascade table grows as 2^depth).
+    """
+    tau = coarsest_level(family)
+    key = _ALIASES[str(family).lower()]
+    if not 8 <= refine_depth <= 20:
         raise ValueError(
-            f"refine_depth={refine_depth} too small: tabulation below depth 8 "
-            "fails the orthonormality tolerance"
+            f"refine_depth={refine_depth} out of range: tabulation below depth 8 "
+            "fails the orthonormality tolerance, and above 20 its table outgrows memory"
         )
     h = _FILTERS[key].copy()
     support = len(h) - 1
-    tau = (support - 1).bit_length()
     if key == "haar":
         size = (1 << refine_depth) + 1
         t = np.arange(size) / (1 << refine_depth)

@@ -11,6 +11,7 @@ modification.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,6 +66,19 @@ class BesovBall:
     def theorem_applicable(self) -> bool:
         """The rate theory covers s > 1/pi + 1/2 only."""
         return self.s > _inv(self.pi) + Fraction(1, 2)
+
+
+def ball_from_spec(spec) -> BesovBall:
+    """BesovBall from a mapping with keys s, pi and optionally r (default inf).
+
+    Raises ValueError for a missing key or a malformed value.
+    """
+    if not isinstance(spec, dict) or not {"s", "pi"} <= set(spec):
+        raise ValueError(f"need an object with keys s, pi and optionally r, got {spec!r}")
+    try:
+        return BesovBall(spec["s"], spec["pi"], spec.get("r", INF))
+    except (TypeError, ArithmeticError) as exc:
+        raise ValueError(f"{spec!r} is malformed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -228,6 +242,33 @@ def _sup_certificate(basis: WaveletBasis, tree: CoefficientTree) -> float:
     return float(total)
 
 
+def signal_spec(spec, j0: int, jmax: int) -> dict:
+    """The signal spec as a mapping, checked as ``make_test_function`` needs it.
+
+    ``jmax`` must lie between the basis's coarsest level ``j0`` and 12 (desk
+    scale).  Raises ValueError naming ``jmax``, the signal name, or the
+    ``random_besov`` parameter at fault.
+    """
+    if not j0 <= jmax <= 12:
+        raise ValueError(f"jmax={jmax} out of range: need coarsest level {j0} <= jmax <= 12")
+    if isinstance(spec, str):
+        spec = {"name": spec}
+    if "random_besov" not in spec:
+        name = spec.get("name")
+        if name not in SIGNAL_NAMES:
+            raise ValueError(f"unknown signal name {name!r}; known: {', '.join(SIGNAL_NAMES)}")
+        return spec
+    params = spec["random_besov"]
+    try:
+        ball_from_spec(params)
+    except ValueError as exc:
+        raise ValueError(f"signal.random_besov: {exc}") from exc
+    seed = params.get("seed")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"signal.random_besov seed must be a non-negative integer, got {seed!r}")
+    return spec
+
+
 def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunction:
     """Build a named or randomly generated target function.
 
@@ -239,16 +280,13 @@ def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunctio
     signs, which places the function inside a Besov ball of computable
     radius (each level's weighted term is at most 1).
     """
-    if jmax > 12:
-        raise ValueError("jmax above 12 is past desk scale")
-    if isinstance(spec, str):
-        spec = {"name": spec}
-    grid_size = 1 << max(14, jmax + 6)
     j0 = basis.coarsest_level
+    spec = signal_spec(spec, j0, jmax)
+    grid_size = 1 << max(14, jmax + 6)
 
     if "random_besov" in spec:
         params = spec["random_besov"]
-        ball = BesovBall(params["s"], params["pi"], params.get("r", INF))
+        ball = ball_from_spec(params)
         s, inv_pi = float(ball.s), float(_inv(ball.pi))
         rng = np.random.default_rng(np.random.SeedSequence((int(params["seed"]), 0xBE50)))
         levels = list(range(j0 - 1, jmax + 1))
@@ -290,10 +328,8 @@ def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunctio
         def fn(x, _raw=raw, _peak=peak):
             return _raw(np.asarray(x, dtype=float)) / _peak
 
-    elif name in _RAW:
-        fn = _RAW[name]
     else:
-        raise ValueError(f"unknown signal name {name!r}; known: {', '.join(SIGNAL_NAMES)}")
+        fn = _RAW[name]
     values = fn(midpoint_grid(grid_size))
     tree = exact_coefficients(basis, values, j0, jmax)
     return TestFunction(

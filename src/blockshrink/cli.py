@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,7 +30,6 @@ from .harness import (
 )
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
-_EXTRA_KEYS = {"moment_level", "moment_index", "conc_level", "conc_block", "conc_mu"}
 
 
 class ConfigError(ValueError):
@@ -52,16 +51,14 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS - _EXTRA_KEYS
+    unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    kwargs = {k: v for k, v in raw.items() if k in _CONFIG_KEYS}
-    if isinstance(kwargs.get("signal"), str):
-        kwargs["signal"] = {"name": kwargs["signal"]}
-    if isinstance(kwargs.get("density"), str):
-        kwargs["density"] = {"kind": kwargs["density"]}
-    config = ExperimentConfig(**kwargs)
-    config.extras = {k: raw[k] for k in _EXTRA_KEYS if k in raw}
+    if isinstance(raw.get("signal"), str):
+        raw["signal"] = {"name": raw["signal"]}
+    if isinstance(raw.get("density"), str):
+        raw["density"] = {"kind": raw["density"]}
+    config = ExperimentConfig(**raw)
     try:
         config.validate()
     except ValueError as exc:
@@ -180,10 +177,10 @@ def _cmd_rates(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = run_rate_experiment(config, threads=args.threads)
-    manifest = _Manifest("rates", _config_dict(config), config.master_seed, out_dir)
+    manifest = _Manifest("rates", asdict(config), config.master_seed, out_dir)
     manifest.add_input(args.config)
     json_path = out_dir / "report.json"
-    json_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    json_path.write_text(json.dumps(asdict(report), indent=2) + "\n")
     manifest.add_output(json_path)
     csv_path = out_dir / "risks.csv"
     _write_csv(
@@ -220,22 +217,16 @@ def _cmd_diagnose(args) -> int:
     config = parse_config(args.config)
     if args.seed is not None:
         config.master_seed = args.seed
-    extras = getattr(config, "extras", {})
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    j = int(extras.get("moment_level", 3))
-    k = int(extras.get("moment_index", 2))
-    cj = int(extras.get("conc_level", 3))
-    cb = int(extras.get("conc_block", 0))
-    mu = float(extras.get("conc_mu", 2.0 * config.d))
-    moment = check_moment_bound(config, j, k)
-    conc = check_concentration(config, cj, cb, mu)
-    manifest = _Manifest("diagnose", _config_dict(config), config.master_seed, out_dir)
+    mu = 2.0 * config.d if config.conc_mu is None else config.conc_mu
+    moment = check_moment_bound(config, config.moment_level, config.moment_index)
+    conc = check_concentration(config, config.conc_level, config.conc_block, mu)
+    manifest = _Manifest("diagnose", asdict(config), config.master_seed, out_dir)
     manifest.add_input(args.config)
     json_path = out_dir / "diagnostics.json"
     json_path.write_text(
-        json.dumps({"moment": moment.to_dict(), "concentration": conc.to_dict()}, indent=2)
-        + "\n"
+        json.dumps({"moment": asdict(moment), "concentration": asdict(conc)}, indent=2) + "\n"
     )
     manifest.add_output(json_path)
     csv_path = out_dir / "concentration.csv"
@@ -247,22 +238,15 @@ def _cmd_diagnose(args) -> int:
     manifest.add_output(csv_path)
     manifest.write()
     print(
-        f"moment decay at (j={j}, k={k}): slope {moment.slope:.4f} vs {moment.theory_exponent} "
-        f"-> {'PASS' if moment.passed else 'FAIL'}"
+        f"moment decay at (j={moment.j}, k={moment.k}): slope {moment.slope:.4f} "
+        f"vs {moment.theory_exponent} -> {'PASS' if moment.passed else 'FAIL'}"
     )
     print(
-        f"block deviation tail at (j={cj}, K={cb}, mu={mu:g}): "
+        f"block deviation tail at (j={conc.j}, K={conc.block}, mu={conc.mu:g}): "
         f"max freq {max(conc.frequency):.3g} vs envelope "
         f"{min(conc.envelope):.3g} -> {'PASS' if conc.passed else 'FAIL'}"
     )
     return 0 if (moment.passed and conc.passed) else 1
-
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    out = {f.name: getattr(config, f.name) for f in fields(ExperimentConfig)}
-    out["n_grid"] = list(out["n_grid"])
-    out.update(getattr(config, "extras", {}))
-    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -297,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, parents=[common], help=help_text)
         q.add_argument("--config", required=True)
         q.add_argument("--seed", type=int, default=None, help="override master seed")
-        q.add_argument("--threads", type=int, default=1)
+        q.add_argument("--threads", type=int, default=1, help="worker threads (diagnose ignores it)")
         q.set_defaults(func=fn)
     return parser
 

@@ -92,7 +92,7 @@ def piecewise_design(breaks, values) -> DesignDensity:
         b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])
     ):
         raise ValueError("breakpoints must be strictly increasing inside (0, 1)")
-    if min(values) <= 0.0:
+    if not all(v > 0.0 for v in values):
         raise ValueError("density values must be positive")
     edges = np.array([0.0, *breaks, 1.0])
     masses = np.diff(edges) * np.asarray(values)
@@ -131,7 +131,7 @@ def density_from_spec(spec) -> DesignDensity:
                 breaks = [float(v) for v in parts[1].split(",") if v]
                 values = [float(v) for v in parts[2].split(",")]
                 return piecewise_design(breaks, values)
-            raise ValueError(f"unknown density spec {spec!r}")
+            raise ValueError("unknown density spec")
         kind = spec.get("kind")
         if kind == "uniform":
             return uniform_design()
@@ -142,8 +142,8 @@ def density_from_spec(spec) -> DesignDensity:
         raise ValueError(f"unknown density kind {kind!r}")
     except KeyError as exc:
         raise ValueError(f"density {spec!r} lacks the key {exc.args[0]!r}") from exc
-    except (IndexError, TypeError) as exc:
-        raise ValueError(f"density {spec!r} is malformed: {exc}") from exc
+    except (IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"density {spec!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -207,9 +207,14 @@ def write_sample_csv(path, sample: Sample) -> None:
 
 
 def read_sample_csv(path, seed: int = 0) -> Sample:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    x = np.atleast_1d(data["x"]).astype(float)
-    y = np.atleast_1d(data["y"]).astype(float)
+    """Read the columns named x and y (in any order) of a CSV file with a header row."""
+    with open(path, encoding="utf-8") as fh:
+        names = [name.strip() for name in fh.readline().split("#")[-1].split(",")]
+        try:
+            cols = (names.index("x"), names.index("y"))
+            x, y = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2).T.copy()
+        except ValueError as exc:
+            raise ValueError(f"sample file {path} needs numeric columns x and y: {exc}") from exc
     if np.any(~np.isfinite(x)) or np.any(~np.isfinite(y)):
         raise ValueError(f"sample file {path} contains non-numeric entries")
     return Sample(n=len(x), x=x, y=y, seed=seed)

@@ -18,12 +18,11 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 
 import numpy as np
 
-from .basis import make_basis, midpoint_grid, synthesize
-from .besov import BesovBall, make_test_function, rate_spec
+from .basis import coarsest_level, make_basis, midpoint_grid, synthesize
+from .besov import ball_from_spec, make_test_function, rate_spec, signal_spec
 from .design import DesignDensity, density_from_spec, generate_sample
 from .estimator import (
     block_grid,
@@ -38,16 +37,12 @@ _Z95 = 1.959963984540054
 _FIELD_TYPES = {
     "int": numbers.Integral,
     "float": numbers.Real,
+    "float | None": (numbers.Real, type(None)),
     "bool": bool,
     "str": str,
     "tuple": (list, tuple),
     "dict": (dict, str),
 }
-
-
-def _require_keys(name: str, spec, keys) -> None:
-    if not isinstance(spec, dict) or not set(keys) <= set(spec):
-        raise ValueError(f"{name} must be an object with keys {', '.join(keys)}, got {spec!r}")
 
 
 @dataclass
@@ -71,17 +66,27 @@ class ExperimentConfig:
     term_c: float = 2.0
     slope_tol: float = 0.15
     moment_tol: float = 0.3
+    # diagnose: the coefficient (j, k) of the moment check, the level and
+    # block of the concentration check, and its mu (None means 2 d)
+    moment_level: int = 3
+    moment_index: int = 2
+    conc_level: int = 3
+    conc_block: int = 0
+    conc_mu: float | None = None
 
     def validate(self) -> DesignDensity:
         """Check every field and return the design density the config describes.
 
-        Raises ValueError naming the first malformed or out-of-range field.
+        Floats must be finite.  Raises ValueError naming the first malformed
+        or out-of-range field.
         """
         for f in fields(self):
             value = getattr(self, f.name)
             kinds = _FIELD_TYPES[f.type]
             if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name}={value} must be finite")
         ns = tuple(self.n_grid)
         if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in ns):
             raise ValueError(f"n_grid entries must be integers, got {list(ns)!r}")
@@ -95,26 +100,27 @@ class ExperimentConfig:
             raise ValueError(f"p={self.p} out of range (need p >= 2)")
         if self.d < 0:
             raise ValueError("threshold constant d must be nonnegative")
+        if self.term_c <= 0:
+            raise ValueError(f"term_c={self.term_c} must be positive")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed={self.master_seed} must be non-negative")
+        if self.conc_mu is not None and self.conc_mu < 0:
+            raise ValueError(f"conc_mu={self.conc_mu} must be nonnegative")
         if self.risk_grid < 1024 or self.risk_grid & (self.risk_grid - 1):
             raise ValueError(
                 f"risk_grid={self.risk_grid} must be a power of two of at least 1024"
             )
-        if isinstance(self.signal, dict) and "random_besov" in self.signal:
-            _require_keys("signal.random_besov", self.signal["random_besov"], ("s", "pi", "seed"))
-        _require_keys("ball", self.ball, ("s", "pi"))
         try:
-            ball = self.ball_spec()
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"ball {self.ball!r} is malformed: {exc}") from exc
-        if not ball.theorem_applicable:
-            bound = (0 if ball.pi == float("inf") else 1 / ball.pi) + Fraction(1, 2)
-            raise ValueError(
-                f"ball smoothness s={ball.s} out of range: need s > 1/pi + 1/2 = {bound}"
-            )
+            j0 = coarsest_level(self.basis_family)
+        except ValueError as exc:
+            raise ValueError(f"basis_family: {exc}") from exc
+        signal_spec(self.signal, j0, self.jmax)
+        try:
+            ball = ball_from_spec(self.ball)
+            rate_spec(ball.s, ball.pi, ball.r, self.p)
+        except ValueError as exc:
+            raise ValueError(f"ball: {exc}") from exc
         return density_from_spec(self.density)
-
-    def ball_spec(self) -> BesovBall:
-        return BesovBall(self.ball["s"], self.ball["pi"], self.ball.get("r", "inf"))
 
 
 def replication_seed(master_seed: int, n: int, rep: int) -> int:
@@ -192,23 +198,6 @@ class RiskReport:
     comparison: list
     meta: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "n_grid": list(self.n_grid),
-            "mean_risk": self.mean_risk,
-            "stderr": self.stderr,
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "intercept": self.intercept,
-            "theory_risk_exponent": self.theory_risk_exponent,
-            "theory_log_exponent": self.theory_log_exponent,
-            "zone": self.zone,
-            "slope_tol": self.slope_tol,
-            "passed": self.passed,
-            "comparison": self.comparison,
-            "meta": self.meta,
-        }
-
 
 def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RiskReport:
     """Monte Carlo risk-decay experiment against the theoretical exponent.
@@ -221,7 +210,7 @@ def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RiskRepor
     hard/soft baselines, reported descriptively and never gated.
     """
     basis, density, signal = _materialize(config)
-    ball = config.ball_spec()
+    ball = ball_from_spec(config.ball)
     rate = rate_spec(ball.s, ball.pi, ball.r, config.p)
     truth = signal.fn(midpoint_grid(config.risk_grid))
     ns = tuple(int(n) for n in config.n_grid)
@@ -314,20 +303,6 @@ class MomentReport:
     tol: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "k": self.k,
-            "n_grid": list(self.n_grid),
-            "moments": self.moments,
-            "stderr": self.stderr,
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "theory_exponent": self.theory_exponent,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
 
 def coefficient_deviations(
     config: ExperimentConfig, j: int, n: int, reps: int, basis, density, signal
@@ -400,22 +375,6 @@ class ConcentrationReport:
     mu_sweep: list
     smallest_passing_mu: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "block": self.block,
-            "mu": self.mu,
-            "n_grid": list(self.n_grid),
-            "frequency": self.frequency,
-            "wilson_upper": self.wilson_upper,
-            "envelope": self.envelope,
-            "median_stat": self.median_stat,
-            "median_slope": self.median_slope,
-            "mu_sweep": self.mu_sweep,
-            "smallest_passing_mu": self.smallest_passing_mu,
-            "passed": self.passed,
-        }
 
 
 def check_concentration(

@@ -56,6 +56,11 @@ class TestMakeBasis:
         with pytest.raises(ValueError, match="refine_depth"):
             make_basis("haar", 2)
 
+    def test_depth_capped(self):
+        # the cascade table holds about 3 * 2^depth doubles
+        with pytest.raises(ValueError, match="refine_depth=21"):
+            make_basis("haar", 21)
+
     def test_tabulated_integrals(self, db4, db6):
         for b in (db4, db6):
             step = 0.5**b.refine_depth

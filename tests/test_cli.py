@@ -1,11 +1,21 @@
 """Config parsing, subcommand dispatch, outputs and reproducibility."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from blockshrink import generate_sample, make_basis, make_test_function, uniform_design, write_sample_csv
+from blockshrink import (
+    ExperimentConfig,
+    generate_sample,
+    make_basis,
+    make_test_function,
+    uniform_design,
+    write_sample_csv,
+)
 from blockshrink.cli import ConfigError, main, parse_config
 
 
@@ -61,9 +71,32 @@ class TestParseConfig:
         ({"ball": {"s": 1}}, "ball"),
         ({"signal": {"random_besov": {"s": 2, "seed": 1}}}, "random_besov"),
         ({"risk_grid": 10000}, "risk_grid"),
+        ({"moment_level": [3]}, "moment_level"),
+        ({"moment_level": "3"}, "moment_level"),
+        ({"moment_level": 3.0}, "moment_level"),
+        ({"signal": {"random_besov": {"s": 2, "pi": 2, "seed": [1]}}}, "seed"),
+        ({"signal": {"random_besov": {"s": 2, "pi": 2, "seed": 1}}, "jmax": -5}, "jmax"),
+        ({"d": float("nan")}, "d=nan"),
+        ({"slope_tol": float("nan")}, "slope_tol"),
+        ({"moment_tol": float("inf")}, "moment_tol"),
+        ({"master_seed": -1}, "master_seed"),
+        ({"term_c": 0, "compare_term": True}, "term_c"),
+        ({"conc_mu": "x"}, "conc_mu"),
+        ({"conc_mu": -1.0}, "conc_mu"),
+        ({"signal": {"name": [1]}}, "signal"),
+        ({"basis_family": "meyer"}, "basis_family"),
+        ({"ball": {"s": "1/0", "pi": 2}}, "ball"),
+        ({"density": {"kind": "linear-tilt", "slope": 10**400}}, "density"),
+        ({"density": {"kind": "piecewise", "breaks": [0.5], "values": [float("nan")] * 2}},
+         "density"),
+        ({"density": {"kind": "piecewise", "breaks": ["a"], "values": [1, 1]}}, "density"),
     ],
     ids=["replications-str", "n_grid-int", "tilt-no-slope", "ball-no-pi",
-         "besov-no-pi", "risk_grid-not-dyadic"],
+         "besov-no-pi", "risk_grid-not-dyadic", "moment_level-list", "moment_level-str",
+         "moment_level-float", "besov-seed-list", "jmax-negative", "d-nan", "slope_tol-nan",
+         "moment_tol-inf", "master_seed-negative", "term_c-zero", "conc_mu-str",
+         "conc_mu-negative", "signal-name-list", "basis_family-unknown", "ball-zero-division",
+         "tilt-overflow", "piecewise-nan", "piecewise-str"],
 )
 @pytest.mark.parametrize("command", ["rates", "diagnose"])
 def test_malformed_config_exits_two_naming_field(tmp_path, capsys, command, override, field):
@@ -71,6 +104,54 @@ def test_malformed_config_exits_two_naming_field(tmp_path, capsys, command, over
     assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and field in err
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+# Specs shaped like ball, signal and density, so that the fuzz reaches the
+# checks behind their required keys; the numbers lean towards valid values.
+_NUMBERS = st.integers(0, 4) | st.sampled_from(["inf", "5/2", "1/0"]) | _SCALARS
+_BALL = st.fixed_dictionaries({"s": _NUMBERS, "pi": _NUMBERS}, optional={"r": _NUMBERS})
+_BESOV = st.fixed_dictionaries(
+    {"s": _NUMBERS, "pi": _NUMBERS, "seed": _JSON}, optional={"r": _NUMBERS}
+)
+_SPECS = st.fixed_dictionaries(
+    {},
+    optional={
+        "ball": _BALL | _JSON,
+        "signal": st.fixed_dictionaries({"random_besov": _BESOV}) | _JSON,
+        "density": st.fixed_dictionaries(
+            {"kind": st.sampled_from(["uniform", "linear-tilt", "piecewise"])},
+            optional={"slope": _NUMBERS, "breaks": _JSON, "values": _JSON},
+        ) | _JSON,
+    },
+)
+_KEYS = st.sampled_from(sorted(f.name for f in fields(ExperimentConfig))) | st.text(max_size=8)
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(overrides=st.dictionaries(_KEYS, _JSON, max_size=4) | _SPECS, keep_base=st.booleans())
+def test_parse_config_fuzz(tmp_path, overrides, keep_base):
+    """Any JSON object, NaN and Infinity included, parses or raises ConfigError.
+
+    Overrides of a valid base config reach the deep checks; without the
+    base, most objects fail early.  Nothing here builds a basis.
+    """
+    path = tmp_path / "fuzz.json"
+    if keep_base:
+        write_config(path, **overrides)
+    else:
+        path.write_text(json.dumps(overrides))
+    try:
+        assert isinstance(parse_config(path), ExperimentConfig)
+    except ConfigError:
+        pass
 
 
 class TestDispatch:

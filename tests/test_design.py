@@ -140,3 +140,18 @@ class TestGenerateSample:
         back = read_sample_csv(path)
         assert np.array_equal(back.x, s.x)
         assert np.array_equal(back.y, s.y)
+
+    def test_csv_columns_found_by_header_name(self, tmp_path):
+        path = tmp_path / "sample.csv"
+        path.write_text("y,x\n2.5,0.25\n")
+        back = read_sample_csv(path)
+        assert back.x.tolist() == [0.25] and back.y.tolist() == [2.5]
+
+    @pytest.mark.parametrize(
+        "text", ["x,y\n0.1,1.0\n0.2,abc\n", "x,z\n0.1,1.0\n"], ids=["non-numeric", "no-y-column"]
+    )
+    def test_csv_error_names_file(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.csv"):
+            read_sample_csv(path)
