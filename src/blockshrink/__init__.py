@@ -51,6 +51,7 @@ from .estimator import (
 )
 from .harness import (
     ConcentrationReport,
+    ConfigError,
     ExperimentConfig,
     MomentReport,
     RiskReport,
@@ -60,6 +61,7 @@ from .harness import (
     fit_rate,
     lp_risk,
     replication_seed,
+    run_diagnostics,
     run_rate_experiment,
     wilson_upper,
 )

@@ -194,20 +194,28 @@ def coarsest_level(family: str) -> int:
     return (len(_FILTERS[key]) - 2).bit_length()
 
 
-def make_basis(family: str, refine_depth: int = 12) -> WaveletBasis:
-    """Construct a tabulated periodized basis for one of the built-in families.
+def check_refine_depth(refine_depth: int) -> None:
+    """Raise ValueError unless the cascade depth lies in 8..20.
 
-    Raises ValueError for an unknown family, or a refinement depth below 8
-    (too coarse for the construction-time orthonormality checks) or above 20
-    (the cascade table grows as 2^depth).
+    Below depth 8 the tables fail the construction-time orthonormality
+    check; above 20 the table (about 3 * 2^depth doubles) outgrows memory.
     """
-    tau = coarsest_level(family)
-    key = _ALIASES[str(family).lower()]
     if not 8 <= refine_depth <= 20:
         raise ValueError(
             f"refine_depth={refine_depth} out of range: tabulation below depth 8 "
             "fails the orthonormality tolerance, and above 20 its table outgrows memory"
         )
+
+
+def make_basis(family: str, refine_depth: int = 12) -> WaveletBasis:
+    """Construct a tabulated periodized basis for one of the built-in families.
+
+    Raises ValueError for an unknown family or a depth outside
+    ``check_refine_depth``'s range.
+    """
+    tau = coarsest_level(family)
+    key = _ALIASES[str(family).lower()]
+    check_refine_depth(refine_depth)
     h = _FILTERS[key].copy()
     support = len(h) - 1
     if key == "haar":
@@ -300,20 +308,29 @@ class CoefficientTree:
 def _level_terms(basis: WaveletBasis, kind: str, j: int, x: np.ndarray):
     """Contributing (wrapped translate index, value) pairs of level j at x.
 
-    By compact support, at most support_length + 1 translates are nonzero at
-    any point; periodization is the wrap k mod 2^j.  Returns arrays of shape
-    (support_length + 1, len(x)).
+    With t = 2^j x and k0 = floor(t), translate k0 - m is evaluated at
+    t - k0 + m, which lies in [m, m + 1).  The support is [0, support_length],
+    so only m = 0 .. support_length - 1 can be nonzero; periodization is the
+    wrap k mod 2^j.  Returns arrays of shape (support_length, len(x)).
     """
     s = basis.support_length
-    dim = 1 << j
     t = np.ldexp(x, j)
     k0 = np.floor(t).astype(np.int64)
+    f = t - k0
+    idx = (k0 - np.arange(s)[:, None]) & ((1 << j) - 1)
     amp = 2.0 ** (j / 2.0)
-    idx = np.empty((s + 1, x.size), dtype=np.int64)
-    val = np.empty((s + 1, x.size))
-    for m in range(s + 1):
-        val[m] = amp * basis.base(kind, t - k0 + m)
-        idx[m] = (k0 - m) & (dim - 1)
+    if basis.family == "haar":
+        return idx, amp * basis.base(kind, f)[None, :]
+    # One table position and weight per point: row m reads the cell m * 2^depth on.
+    table = basis.phi_table if kind == "father" else basis.psi_table
+    u = np.ldexp(f, basis.refine_depth)
+    i = np.floor(u).astype(np.int64)
+    frac = u - i
+    rest = 1.0 - frac
+    val = np.empty((s, x.size))
+    for m in range(s):
+        cell = i + (m << basis.refine_depth)
+        val[m] = amp * (table[cell] * rest + table[cell + 1] * frac)
     return idx, val
 
 

@@ -1,8 +1,9 @@
 """Command-line front end: fit, rates, diagnose, basis.
 
 All runs write a manifest (resolved configuration, seed, artifact version,
-timestamps, and every emitted file) so any output can be reproduced from
-the manifest alone.  Tabular outputs are CSV; structured reports are JSON.
+Python and numpy versions, platform, timestamps, and every emitted file) so
+any output can be reproduced from the manifest alone.  Tabular outputs are
+CSV; structured reports are JSON.
 Exit codes: 0 success / checks passed, 1 gated check failed, 2 usage or
 configuration error.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
@@ -22,18 +24,9 @@ from . import __version__
 from .basis import make_basis, midpoint_grid, synthesize
 from .design import density_from_spec, read_sample_csv
 from .estimator import blockshrink
-from .harness import (
-    ExperimentConfig,
-    check_concentration,
-    check_moment_bound,
-    run_rate_experiment,
-)
+from .harness import ConfigError, ExperimentConfig, run_diagnostics, run_rate_experiment
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
-
-
-class ConfigError(ValueError):
-    """Raised for malformed or out-of-range configuration input."""
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -86,6 +79,9 @@ class _Manifest:
             "config": config,
             "master_seed": master_seed,
             "artifact_version": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
             "started_at": datetime.now(timezone.utc).isoformat(),
             "finished_at": None,
             "inputs": [],
@@ -219,9 +215,7 @@ def _cmd_diagnose(args) -> int:
         config.master_seed = args.seed
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mu = 2.0 * config.d if config.conc_mu is None else config.conc_mu
-    moment = check_moment_bound(config, config.moment_level, config.moment_index)
-    conc = check_concentration(config, config.conc_level, config.conc_block, mu)
+    moment, conc = run_diagnostics(config)
     manifest = _Manifest("diagnose", asdict(config), config.master_seed, out_dir)
     manifest.add_input(args.config)
     json_path = out_dir / "diagnostics.json"

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import coarsest_level, make_basis, midpoint_grid, synthesize
+from .basis import check_refine_depth, coarsest_level, make_basis, midpoint_grid, synthesize
 from .besov import ball_from_spec, make_test_function, rate_spec, signal_spec
 from .design import DesignDensity, density_from_spec, generate_sample
 from .estimator import (
@@ -32,6 +32,8 @@ from .estimator import (
 )
 
 _Z95 = 1.959963984540054
+# Largest risk grid: 2^20 midpoints (8 MiB of doubles per evaluated function).
+_MAX_RISK_GRID = 1 << 20
 
 # Accepted Python types per annotated field type; bool is never a number here.
 _FIELD_TYPES = {
@@ -43,6 +45,10 @@ _FIELD_TYPES = {
     "tuple": (list, tuple),
     "dict": (dict, str),
 }
+
+
+class ConfigError(ValueError):
+    """Raised for malformed or out-of-range configuration input."""
 
 
 @dataclass
@@ -106,10 +112,11 @@ class ExperimentConfig:
             raise ValueError(f"master_seed={self.master_seed} must be non-negative")
         if self.conc_mu is not None and self.conc_mu < 0:
             raise ValueError(f"conc_mu={self.conc_mu} must be nonnegative")
-        if self.risk_grid < 1024 or self.risk_grid & (self.risk_grid - 1):
+        if not 1024 <= self.risk_grid <= _MAX_RISK_GRID or self.risk_grid & (self.risk_grid - 1):
             raise ValueError(
-                f"risk_grid={self.risk_grid} must be a power of two of at least 1024"
+                f"risk_grid={self.risk_grid} must be a power of two from 1024 to {_MAX_RISK_GRID}"
             )
+        check_refine_depth(self.refine_depth)
         try:
             j0 = coarsest_level(self.basis_family)
         except ValueError as exc:
@@ -304,42 +311,86 @@ class MomentReport:
     passed: bool
 
 
+def _check_diagnose_ranges(config: ExperimentConfig, moment, conc) -> None:
+    """Check the moment check's (level, translate) and the concentration
+    check's (level, block) against the estimator's levels at every n of
+    ``n_grid``; either pair may be None.
+
+    Raises ConfigError naming the config field and the ``n_grid`` entry.
+    """
+    if moment is not None and len(config.n_grid) < 3:
+        raise ConfigError("n_grid needs at least 3 sample sizes to fit the moment slope")
+    j0 = coarsest_level(config.basis_family)
+    for n in config.n_grid:
+        grid = block_grid(n, config.p, j0)
+        checks = (
+            (("moment_level", "moment_index"), moment, lambda j: 1 << j),
+            (("conc_level", "conc_block"), conc, grid.block_count),
+        )
+        for (level_field, index_field), pair, count in checks:
+            if pair is None:
+                continue
+            j, index = pair
+            if not grid.j_low <= j <= grid.j_high:
+                raise ConfigError(
+                    f"{level_field}={j} outside the estimator levels "
+                    f"{grid.j_low}..{grid.j_high} at n={n} of n_grid"
+                )
+            if not 0 <= index < count(j):
+                raise ConfigError(
+                    f"{index_field}={index} out of range at level {j}, n={n} of n_grid"
+                )
+
+
 def coefficient_deviations(
-    config: ExperimentConfig, j: int, n: int, reps: int, basis, density, signal
-) -> np.ndarray:
-    """(reps, 2^j) matrix of level-j coefficient errors beta_hat - beta."""
-    truth = signal.tree.detail(j)
-    out = np.empty((reps, truth.size))
-    for rep in range(reps):
+    config: ExperimentConfig, levels, n: int, basis, density, signal
+) -> dict:
+    """Level-j coefficient errors beta_hat - beta of every replication at n.
+
+    Returns {j: (replications, 2^j) matrix} for each level in ``levels``.
+    Each replication's sample is drawn once and each distinct level's sums
+    are computed once on it, so several checks can share one pass.
+    """
+    truth = {j: signal.tree.detail(j) for j in sorted(set(levels))}
+    R = config.replications
+    out = {j: np.empty((R, beta.size)) for j, beta in truth.items()}
+    for rep in range(R):
         sample = generate_sample(
             signal.fn, density, n, replication_seed(config.master_seed, n, rep),
             noiseless=config.noiseless,
         )
-        out[rep] = empirical_detail_level(sample, density, basis, j) - truth
+        for j, beta in truth.items():
+            out[j][rep] = empirical_detail_level(sample, density, basis, j) - beta
     return out
 
 
-def check_moment_bound(config: ExperimentConfig, j: int, k: int) -> MomentReport:
-    """Monte Carlo slope of log E|beta_hat_{j,k} - beta_{j,k}|^{2p} vs log n.
+def _diagnose_pass(config: ExperimentConfig, moment=None, conc=None) -> dict:
+    """{n: {j: deviations}} at the levels of the given checks, one pass per n.
 
-    The true coefficient comes from the quadrature oracle; theory predicts
-    the slope -p.
+    ``moment`` is a (level, translate) pair and ``conc`` a (level, block)
+    pair; both are range-checked at every n before any sample is drawn.
     """
     basis, density, signal = _materialize(config)
-    ns = tuple(int(n) for n in config.n_grid)
-    if len(ns) < 3:
-        raise ValueError("moment check needs at least 3 sample sizes to fit a slope")
-    for n in ns:
-        grid = block_grid(n, config.p, basis.coarsest_level)
-        if not grid.j_low <= j <= grid.j_high:
-            raise ValueError(f"level {j} outside the estimator range at n={n}")
-    if not 0 <= k < (1 << j):
-        raise ValueError(f"translate k={k} out of range at level {j}")
+    _check_diagnose_ranges(config, moment, conc)
+    levels = [pair[0] for pair in (moment, conc) if pair is not None]
+    return {
+        int(n): coefficient_deviations(config, levels, int(n), basis, density, signal)
+        for n in config.n_grid
+    }
+
+
+def _block_stats(dev: np.ndarray, lo: int, hi: int, p: float) -> np.ndarray:
+    """Per-replication block statistic (mean |dev|^p over [lo, hi))^(1/p)."""
+    return np.mean(np.abs(dev[:, lo:hi]) ** p, axis=1) ** (1.0 / p)
+
+
+def _score_moment(config: ExperimentConfig, j: int, k: int, devs: dict) -> MomentReport:
+    """Score the moment check on coefficient (j, k) from {n: {j: deviations}}."""
+    ns = tuple(devs)
     power = 2.0 * config.p
     moments, errs = [], []
     for n in ns:
-        dev = coefficient_deviations(config, j, n, config.replications, basis, density, signal)
-        vals = np.abs(dev[:, k]) ** power
+        vals = np.abs(devs[n][j][:, k]) ** power
         moments.append(float(vals.mean()))
         errs.append(float(vals.std(ddof=1) / math.sqrt(len(vals))))
     slope, _, slope_err = fit_rate(zip(ns, moments))
@@ -357,6 +408,15 @@ def check_moment_bound(config: ExperimentConfig, j: int, k: int) -> MomentReport
         tol=config.moment_tol,
         passed=bool(passed),
     )
+
+
+def check_moment_bound(config: ExperimentConfig, j: int, k: int) -> MomentReport:
+    """Monte Carlo slope of log E|beta_hat_{j,k} - beta_{j,k}|^{2p} vs log n.
+
+    The true coefficient comes from the quadrature oracle; theory predicts
+    the slope -p.
+    """
+    return _score_moment(config, j, k, _diagnose_pass(config, moment=(j, k)))
 
 
 @dataclass
@@ -377,36 +437,20 @@ class ConcentrationReport:
     passed: bool
 
 
-def check_concentration(
-    config: ExperimentConfig, j: int, block: int, mu: float
+def _score_concentration(
+    config: ExperimentConfig, j: int, block: int, mu: float, devs: dict
 ) -> ConcentrationReport:
-    """Empirical frequency of large block deviations against the 4 n^{-p} tail.
-
-    The gating event is block l^p deviation mean >= mu/2 * n^{-1/2} at the
-    given mu; a sweep over smaller and larger mu is reported alongside (the
-    theory guarantees only that a large enough mu works, not its value).
-    The check passes when the observed frequency stays under the envelope
-    for every n.
-    """
-    basis, density, signal = _materialize(config)
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    ns = tuple(int(n) for n in config.n_grid)
+    """Score the concentration check on (j, block) at mu from {n: {j: deviations}}."""
+    ns = tuple(devs)
     p = config.p
+    j0 = coarsest_level(config.basis_family)
     mu_sweep_factors = np.array([0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.0])
     sweep_mus = sorted(set(np.round(mu * mu_sweep_factors, 10)) | {float(mu)}) if mu > 0 else [0.0]
     freqs, uppers, envs, medians = [], [], [], []
     sweep_rows = []
     for n in ns:
-        grid = block_grid(n, p, basis.coarsest_level)
-        if not grid.j_low <= j <= grid.j_high:
-            raise ValueError(f"level {j} outside the estimator range at n={n}")
-        edges = grid.boundaries(j)
-        if not 0 <= block < len(edges) - 1:
-            raise ValueError(f"block {block} out of range at level {j}, n={n}")
-        lo, hi = edges[block], edges[block + 1]
-        dev = coefficient_deviations(config, j, n, config.replications, basis, density, signal)
-        stats = np.mean(np.abs(dev[:, lo:hi]) ** p, axis=1) ** (1.0 / p)
+        edges = block_grid(n, p, j0).boundaries(j)
+        stats = _block_stats(devs[n][j], edges[block], edges[block + 1], p)
         cut = 0.5 * mu / math.sqrt(n)
         hits = int(np.count_nonzero(stats >= cut))
         R = len(stats)
@@ -453,6 +497,36 @@ def check_concentration(
     )
 
 
+def check_concentration(
+    config: ExperimentConfig, j: int, block: int, mu: float
+) -> ConcentrationReport:
+    """Empirical frequency of large block deviations against the 4 n^{-p} tail.
+
+    The gating event is block l^p deviation mean >= mu/2 * n^{-1/2} at the
+    given mu; a sweep over smaller and larger mu is reported alongside (the
+    theory guarantees only that a large enough mu works, not its value).
+    The check passes when the observed frequency stays under the envelope
+    for every n.
+    """
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    return _score_concentration(config, j, block, mu, _diagnose_pass(config, conc=(j, block)))
+
+
+def run_diagnostics(config: ExperimentConfig) -> tuple[MomentReport, ConcentrationReport]:
+    """Both checks on the config's diagnose fields from one replication pass.
+
+    Equal to ``check_moment_bound`` and ``check_concentration`` called
+    separately (``conc_mu`` None means 2 d), at half the sampling cost:
+    every (n, replication) sample is drawn once for both.
+    """
+    j, k = config.moment_level, config.moment_index
+    conc_j, block = config.conc_level, config.conc_block
+    mu = 2.0 * config.d if config.conc_mu is None else config.conc_mu
+    devs = _diagnose_pass(config, moment=(j, k), conc=(conc_j, block))
+    return _score_moment(config, j, k, devs), _score_concentration(config, conc_j, block, mu, devs)
+
+
 def calibrate_threshold(
     n: int = 4096,
     p: float = 2.0,
@@ -463,7 +537,8 @@ def calibrate_threshold(
     """Pure-noise false-keep rate per block for a sweep of threshold constants.
 
     Re-derives the default keep-or-kill constant: the default 4 must show a
-    per-block false-keep rate below 1% on uniform-design pure noise.
+    per-block false-keep rate below 1% on uniform-design pure noise.  One
+    replication pass serves every level.
     """
     config = ExperimentConfig(
         signal={"name": "zero"},
@@ -474,20 +549,18 @@ def calibrate_threshold(
     )
     basis, density, signal = _materialize(config)
     grid = block_grid(n, p, basis.coarsest_level)
-    rows = []
+    devs = coefficient_deviations(config, grid.levels(), n, basis, density, signal)
     level_stats = {}
-    for j in grid.levels():
-        dev = coefficient_deviations(config, j, n, replications, basis, density, signal)
+    for j, dev in devs.items():
         edges = grid.boundaries(j)
-        stats = [
-            np.mean(np.abs(dev[:, lo:hi]) ** p, axis=1) ** (1.0 / p)
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ]
-        level_stats[j] = np.column_stack(stats)
+        level_stats[j] = np.column_stack(
+            [_block_stats(dev, lo, hi, p) for lo, hi in zip(edges[:-1], edges[1:])]
+        )
+    rows = []
     for d in candidates:
         cut = d / math.sqrt(n)
         keeps = total = 0
-        for j, stats in level_stats.items():
+        for stats in level_stats.values():
             keeps += int(np.count_nonzero(stats >= cut))
             total += stats.size
         rows.append({"d": float(d), "false_keep_rate": keeps / total})

@@ -15,6 +15,7 @@ from blockshrink import (
     midpoint_grid,
     synthesize,
 )
+from blockshrink.basis import _level_terms
 
 SQRT2 = math.sqrt(2.0)
 
@@ -101,6 +102,32 @@ class TestEval:
     def test_level_below_coarsest(self, db4):
         with pytest.raises(ValueError, match="coarsest"):
             db4.eval("mother", 1, 0, 0.5)
+
+
+class TestLevelTerms:
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    def test_matches_direct_base_evaluation(self, request, family):
+        """Rows 0..s-1 equal 2^{j/2} base(t - k0 + m); the dropped row s is zero.
+
+        The oracle rounds t - k0 + m to the precision of m before reading the
+        table, which moves a value by up to the table's slope times 2^-50
+        (4.7e-14 for db4 here), so the unscaled values agree within 1e-13.
+        """
+        basis = request.getfixturevalue(family)
+        s = basis.support_length
+        rng = np.random.default_rng(11)
+        # random points with full mantissas, dyadic nodes, and both ends
+        x = np.concatenate([rng.random(4096) / 3.0, np.arange(1 << 10) / (1 << 10), [0.0, 1.0]])
+        for kind in ("father", "mother"):
+            for j in range(basis.coarsest_level, 9):
+                t = np.ldexp(x, j)
+                k0 = np.floor(t).astype(np.int64)
+                oracle = np.stack([basis.base(kind, t - k0 + m) for m in range(s + 1)])
+                assert np.all(oracle[s] == 0.0)
+                idx, val = _level_terms(basis, kind, j, x)
+                assert val.shape == idx.shape == (s, x.size)
+                np.testing.assert_allclose(val / 2.0 ** (j / 2.0), oracle[:s], rtol=0, atol=1e-13)
+                np.testing.assert_array_equal(idx, (k0 - np.arange(s)[:, None]) % (1 << j))
 
 
 class TestConcentration:

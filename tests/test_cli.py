@@ -1,6 +1,7 @@
 """Config parsing, subcommand dispatch, outputs and reproducibility."""
 
 import json
+import platform
 from dataclasses import fields
 
 import numpy as np
@@ -16,6 +17,7 @@ from blockshrink import (
     uniform_design,
     write_sample_csv,
 )
+from blockshrink import harness
 from blockshrink.cli import ConfigError, main, parse_config
 
 
@@ -61,44 +63,71 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="256"):
             parse_config(write_config(tmp_path / "c.json", n_grid=[128, 512]))
 
+    def test_refine_depth_checked_at_parse_time(self, tmp_path):
+        with pytest.raises(ConfigError, match="refine_depth=30"):
+            parse_config(write_config(tmp_path / "c.json", refine_depth=30))
+        with pytest.raises(ConfigError, match="refine_depth=7"):
+            parse_config(write_config(tmp_path / "c.json", refine_depth=7))
+
+    def test_risk_grid_capped(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path / "c.json", risk_grid=1 << 20))
+        assert cfg.risk_grid == 1 << 20
+        with pytest.raises(ConfigError, match="risk_grid=2097152"):
+            parse_config(write_config(tmp_path / "c.json", risk_grid=1 << 21))
+
+
+_MALFORMED = [
+    ({"replications": "100"}, "replications", "replications-str"),
+    ({"n_grid": 1024}, "n_grid", "n_grid-int"),
+    ({"density": {"kind": "linear-tilt"}}, "density", "tilt-no-slope"),
+    ({"ball": {"s": 1}}, "ball", "ball-no-pi"),
+    ({"signal": {"random_besov": {"s": 2, "seed": 1}}}, "random_besov", "besov-no-pi"),
+    ({"risk_grid": 10000}, "risk_grid", "risk_grid-not-dyadic"),
+    ({"moment_level": [3]}, "moment_level", "moment_level-list"),
+    ({"moment_level": "3"}, "moment_level", "moment_level-str"),
+    ({"moment_level": 3.0}, "moment_level", "moment_level-float"),
+    ({"signal": {"random_besov": {"s": 2, "pi": 2, "seed": [1]}}}, "seed", "besov-seed-list"),
+    ({"signal": {"random_besov": {"s": 2, "pi": 2, "seed": 1}}, "jmax": -5}, "jmax",
+     "jmax-negative"),
+    ({"d": float("nan")}, "d=nan", "d-nan"),
+    ({"slope_tol": float("nan")}, "slope_tol", "slope_tol-nan"),
+    ({"moment_tol": float("inf")}, "moment_tol", "moment_tol-inf"),
+    ({"master_seed": -1}, "master_seed", "master_seed-negative"),
+    ({"term_c": 0, "compare_term": True}, "term_c", "term_c-zero"),
+    ({"conc_mu": "x"}, "conc_mu", "conc_mu-str"),
+    ({"conc_mu": -1.0}, "conc_mu", "conc_mu-negative"),
+    ({"signal": {"name": [1]}}, "signal", "signal-name-list"),
+    ({"basis_family": "meyer"}, "basis_family", "basis_family-unknown"),
+    ({"ball": {"s": "1/0", "pi": 2}}, "ball", "ball-zero-division"),
+    ({"density": {"kind": "linear-tilt", "slope": 10**400}}, "density", "tilt-overflow"),
+    ({"density": {"kind": "piecewise", "breaks": [0.5], "values": [float("nan")] * 2}},
+     "density", "piecewise-nan"),
+    ({"density": {"kind": "piecewise", "breaks": ["a"], "values": [1, 1]}}, "density",
+     "piecewise-str"),
+]
+# Diagnose fields that only diagnose reads: each row breaks one of them
+# against the base n_grid, whose n = 256 admits level 2 only.
+_DIAGNOSE_OK = {"moment_level": 2, "moment_index": 1, "conc_level": 2, "conc_block": 0}
+_DIAGNOSE_RANGES = [
+    ({**_DIAGNOSE_OK, "moment_level": 9}, "moment_level", "moment_level-9"),
+    ({**_DIAGNOSE_OK, "moment_index": 99}, "moment_index", "moment_index-99"),
+    ({**_DIAGNOSE_OK, "conc_level": 9}, "conc_level", "conc_level-9"),
+    ({**_DIAGNOSE_OK, "conc_block": 99}, "conc_block", "conc_block-99"),
+]
+
 
 @pytest.mark.parametrize(
-    "override,field",
+    "command,override,field",
     [
-        ({"replications": "100"}, "replications"),
-        ({"n_grid": 1024}, "n_grid"),
-        ({"density": {"kind": "linear-tilt"}}, "density"),
-        ({"ball": {"s": 1}}, "ball"),
-        ({"signal": {"random_besov": {"s": 2, "seed": 1}}}, "random_besov"),
-        ({"risk_grid": 10000}, "risk_grid"),
-        ({"moment_level": [3]}, "moment_level"),
-        ({"moment_level": "3"}, "moment_level"),
-        ({"moment_level": 3.0}, "moment_level"),
-        ({"signal": {"random_besov": {"s": 2, "pi": 2, "seed": [1]}}}, "seed"),
-        ({"signal": {"random_besov": {"s": 2, "pi": 2, "seed": 1}}, "jmax": -5}, "jmax"),
-        ({"d": float("nan")}, "d=nan"),
-        ({"slope_tol": float("nan")}, "slope_tol"),
-        ({"moment_tol": float("inf")}, "moment_tol"),
-        ({"master_seed": -1}, "master_seed"),
-        ({"term_c": 0, "compare_term": True}, "term_c"),
-        ({"conc_mu": "x"}, "conc_mu"),
-        ({"conc_mu": -1.0}, "conc_mu"),
-        ({"signal": {"name": [1]}}, "signal"),
-        ({"basis_family": "meyer"}, "basis_family"),
-        ({"ball": {"s": "1/0", "pi": 2}}, "ball"),
-        ({"density": {"kind": "linear-tilt", "slope": 10**400}}, "density"),
-        ({"density": {"kind": "piecewise", "breaks": [0.5], "values": [float("nan")] * 2}},
-         "density"),
-        ({"density": {"kind": "piecewise", "breaks": ["a"], "values": [1, 1]}}, "density"),
+        pytest.param(command, override, field, id=f"{command}-{name}")
+        for command in ("rates", "diagnose")
+        for override, field, name in _MALFORMED
+    ]
+    + [
+        pytest.param("diagnose", override, field, id=f"diagnose-{name}")
+        for override, field, name in _DIAGNOSE_RANGES
     ],
-    ids=["replications-str", "n_grid-int", "tilt-no-slope", "ball-no-pi",
-         "besov-no-pi", "risk_grid-not-dyadic", "moment_level-list", "moment_level-str",
-         "moment_level-float", "besov-seed-list", "jmax-negative", "d-nan", "slope_tol-nan",
-         "moment_tol-inf", "master_seed-negative", "term_c-zero", "conc_mu-str",
-         "conc_mu-negative", "signal-name-list", "basis_family-unknown", "ball-zero-division",
-         "tilt-overflow", "piecewise-nan", "piecewise-str"],
 )
-@pytest.mark.parametrize("command", ["rates", "diagnose"])
 def test_malformed_config_exits_two_naming_field(tmp_path, capsys, command, override, field):
     cfg = write_config(tmp_path / "c.json", **override)
     assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
@@ -166,6 +195,13 @@ class TestDispatch:
         assert len(table) == (1 << 12) + 2  # header + 2^12 + 1 nodes
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert str(tmp_path / "basis_haar.csv") in manifest["outputs"]
+
+    def test_manifest_records_environment(self, tmp_path):
+        assert main(["basis", "--family", "haar", "--out-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["platform"] == platform.platform()
 
     def test_fit_row_count_matches_grid(self, tmp_path):
         basis = make_basis("haar", 12)
@@ -236,6 +272,19 @@ class TestDispatch:
         data = json.loads((out / "diagnostics.json").read_text())
         assert {"moment", "concentration"} <= set(data)
         assert (out / "concentration.csv").exists()
+
+    def test_diagnose_draws_each_sample_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return generate_sample(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_sample", counting)
+        cfg = write_config(tmp_path / "c.json", signal="zero", n_grid=[512, 1024, 2048],
+                           moment_level=3, conc_level=2)
+        assert main(["diagnose", "--config", str(cfg), "--out-dir", str(tmp_path)]) in (0, 1)
+        assert sorted(calls) == sorted([512, 1024, 2048] * 50)
 
     def test_replay_outputs_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

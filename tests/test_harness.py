@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blockshrink import (
+    ConfigError,
     ExperimentConfig,
     blockshrink,
     check_concentration,
@@ -19,12 +20,14 @@ from blockshrink import (
     make_test_function,
     midpoint_grid,
     replication_seed,
+    run_diagnostics,
     run_rate_experiment,
     synthesize,
     term_threshold,
     uniform_design,
     wilson_upper,
 )
+from blockshrink import harness
 
 
 class TestLpRisk:
@@ -228,8 +231,11 @@ class TestMomentDiagnostics:
         from blockshrink.harness import _materialize, coefficient_deviations
 
         basis, density, signal = _materialize(config)
-        dev = coefficient_deviations(config, 3, 512, 50, basis, density, signal)
-        assert np.all(dev == 0.0)
+        devs = coefficient_deviations(config, (3, 2, 3), 512, basis, density, signal)
+        assert sorted(devs) == [2, 3]
+        for j, dev in devs.items():
+            assert dev.shape == (50, 1 << j)
+            assert np.all(dev == 0.0)
 
     def test_moment_slope_near_minus_p(self, moment_config):
         report = check_moment_bound(moment_config, 3, 2)
@@ -288,6 +294,49 @@ class TestConcentrationDiagnostics:
         assert concentration_report.median_slope == pytest.approx(-0.5, abs=0.15)
 
 
+class TestDiagnosePass:
+    @pytest.mark.parametrize(
+        "levels", [(3, 3), (2, 3)], ids=["same-level", "different-levels"]
+    )
+    def test_shared_pass_equals_separate_checks(self, levels):
+        moment_level, conc_level = levels
+        config = ExperimentConfig(
+            signal={"name": "doppler"},
+            density={"kind": "linear-tilt", "slope": 0.5},
+            n_grid=(512, 1024, 2048),
+            replications=60,
+            master_seed=23,
+            moment_level=moment_level,
+            moment_index=1,
+            conc_level=conc_level,
+            conc_block=0,
+        )
+        moment, conc = run_diagnostics(config)
+        assert moment == check_moment_bound(config, moment_level, 1)
+        assert conc == check_concentration(config, conc_level, 0, 2.0 * config.d)
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ({"moment_level": 9}, "moment_level=9 outside .* n=256 of n_grid"),
+            ({"moment_index": 4}, "moment_index=4 out of range at level 2, n=256 of n_grid"),
+            ({"conc_level": 1}, "conc_level=1 outside .* n=256 of n_grid"),
+            ({"conc_block": 1}, "conc_block=1 out of range at level 2, n=256 of n_grid"),
+            ({"n_grid": (512, 1024)}, "n_grid needs at least 3"),
+        ],
+    )
+    def test_range_errors_before_any_sample(self, monkeypatch, override, message):
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a sample was drawn before the range check")
+
+        monkeypatch.setattr(harness, "generate_sample", no_sample)
+        fields = {"n_grid": (256, 512, 1024), "moment_level": 2, "moment_index": 1,
+                  "conc_level": 2, "conc_block": 0}
+        config = ExperimentConfig(signal={"name": "zero"}, **{**fields, **override})
+        with pytest.raises(ConfigError, match=message):
+            run_diagnostics(config)
+
+
 class TestCalibration:
     def test_default_threshold_false_keep_rate(self):
         from blockshrink import calibrate_threshold
@@ -298,3 +347,7 @@ class TestCalibration:
         # rates decrease as the constant grows
         ds = sorted(by_d)
         assert all(by_d[a] >= by_d[b] for a, b in zip(ds, ds[1:]))
+        # 200 replications of 3 blocks each; the counts of the
+        # level-at-a-time pass that preceded the shared one
+        assert [rows[i]["false_keep_rate"] for i in range(3)] == [584 / 600, 256 / 600, 9 / 600]
+        assert all(row["false_keep_rate"] == 0.0 for row in rows[3:])
