@@ -128,10 +128,6 @@ class WaveletBasis:
     phi_table: np.ndarray
     psi_table: np.ndarray
 
-    @property
-    def tau(self) -> int:
-        return self.coarsest_level
-
     def table_grid(self) -> np.ndarray:
         """Abscissae of the tables: 0 .. support_length, step 2^-refine_depth."""
         return np.arange(len(self.phi_table)) / (1 << self.refine_depth)

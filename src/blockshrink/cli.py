@@ -73,6 +73,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 class _Manifest:
+    """A run's record, opened (and ``out_dir`` created) when the run starts."""
+
     def __init__(self, subcommand: str, config: dict, master_seed, out_dir: Path):
         self.data = {
             "subcommand": subcommand,
@@ -88,6 +90,7 @@ class _Manifest:
             "outputs": [],
         }
         self.out_dir = out_dir
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     def add_input(self, path) -> None:
         self.data["inputs"].append(str(path))
@@ -104,14 +107,9 @@ class _Manifest:
 
 def _cmd_basis(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    settings = {"family": args.family, "refine_depth": args.refine_depth}
+    manifest = _Manifest("basis", settings, None, out_dir)
     basis = make_basis(args.family, args.refine_depth)
-    manifest = _Manifest(
-        "basis",
-        {"family": args.family, "refine_depth": args.refine_depth},
-        None,
-        out_dir,
-    )
     path = out_dir / f"basis_{basis.family}.csv"
     xs = basis.table_grid()
     _write_csv(
@@ -127,26 +125,15 @@ def _cmd_fit(args) -> int:
     if args.grid < 1 or args.grid & (args.grid - 1):
         raise ConfigError(f"--grid={args.grid} must be a power of two")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    settings = {"input": str(args.input), "density": args.density, "basis": args.basis,
+                "p": args.p, "d": args.d, "grid": args.grid}
+    manifest = _Manifest("fit", settings, None, out_dir)
+    manifest.add_input(args.input)
     sample = read_sample_csv(args.input)
     density = density_from_spec(args.density)
     basis = make_basis(args.basis, args.refine_depth)
     est = blockshrink(sample, density, basis, args.p, args.d)
     values = synthesize(basis, est.tree, args.grid)
-    manifest = _Manifest(
-        "fit",
-        {
-            "input": str(args.input),
-            "density": args.density,
-            "basis": args.basis,
-            "p": args.p,
-            "d": args.d,
-            "grid": args.grid,
-        },
-        None,
-        out_dir,
-    )
-    manifest.add_input(args.input)
     est_path = out_dir / "estimate.csv"
     _write_csv(est_path, "x,fhat", zip(midpoint_grid(args.grid), map(float, values)))
     manifest.add_output(est_path)
@@ -166,15 +153,21 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_rates(args) -> int:
+def _start_run(args):
+    """Shared start of ``rates`` and ``diagnose``: parse ``--config``, apply
+    ``--seed``, create ``--out-dir`` and open the manifest before the run."""
     config = parse_config(args.config)
     if args.seed is not None:
         config.master_seed = args.seed
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = run_rate_experiment(config, threads=args.threads)
-    manifest = _Manifest("rates", asdict(config), config.master_seed, out_dir)
+    manifest = _Manifest(args.subcommand, asdict(config), config.master_seed, out_dir)
     manifest.add_input(args.config)
+    return config, out_dir, manifest
+
+
+def _cmd_rates(args) -> int:
+    config, out_dir, manifest = _start_run(args)
+    report = run_rate_experiment(config, threads=args.threads)
     json_path = out_dir / "report.json"
     json_path.write_text(json.dumps(asdict(report), indent=2) + "\n")
     manifest.add_output(json_path)
@@ -210,14 +203,8 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    config = parse_config(args.config)
-    if args.seed is not None:
-        config.master_seed = args.seed
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    moment, conc = run_diagnostics(config)
-    manifest = _Manifest("diagnose", asdict(config), config.master_seed, out_dir)
-    manifest.add_input(args.config)
+    config, out_dir, manifest = _start_run(args)
+    moment, conc = run_diagnostics(config, threads=args.threads)
     json_path = out_dir / "diagnostics.json"
     json_path.write_text(
         json.dumps({"moment": asdict(moment), "concentration": asdict(conc)}, indent=2) + "\n"
@@ -275,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, parents=[common], help=help_text)
         q.add_argument("--config", required=True)
         q.add_argument("--seed", type=int, default=None, help="override master seed")
-        q.add_argument("--threads", type=int, default=1, help="worker threads (diagnose ignores it)")
+        q.add_argument("--threads", type=int, default=1, help="worker threads (at least 1)")
         q.set_defaults(func=fn)
     return parser
 

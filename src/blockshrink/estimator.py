@@ -57,10 +57,13 @@ def block_grid(n: int, p: float, min_level: int = 0) -> BlockGrid:
     """Block geometry for a sample of size n under the l^p rule."""
     if n < 16:
         raise ValueError(f"n={n} too small (need n >= 16)")
-    if p < 2:
-        raise ValueError(f"p={p} out of range (need p >= 2)")
+    if not 2 <= p < math.inf:
+        raise ValueError(f"p={p} out of range (need finite p >= 2)")
     ln_n = math.log(n)
-    block_size = int(math.floor(ln_n ** (p / 2.0)))
+    try:
+        block_size = int(math.floor(ln_n ** (p / 2.0)))
+    except OverflowError:
+        raise ValueError(f"p={p} out of range: block size (ln n)^(p/2) overflows") from None
     j_low = int(math.floor((p / 2.0) * math.log2(ln_n)))
     j_high = int(math.floor(0.5 * math.log2(n / ln_n)))
     if j_high < min_level:
@@ -160,12 +163,12 @@ def threshold_tree(
     """
     n, p = grid.n, grid.p
     if rule == "block":
-        if constant < 0:
-            raise ValueError("threshold constant must be nonnegative")
+        if not 0 <= constant < math.inf:
+            raise ValueError(f"threshold constant d={constant} must be finite and nonnegative")
         cut = constant / math.sqrt(n)
     elif rule in ("hard", "soft"):
-        if constant <= 0:
-            raise ValueError("threshold constant must be positive")
+        if not 0 < constant < math.inf:
+            raise ValueError(f"threshold constant c={constant} must be finite and positive")
         cut = constant * math.sqrt(math.log(n) / n)
     else:
         raise ValueError(f"rule must be 'block', 'hard' or 'soft', got {rule!r}")

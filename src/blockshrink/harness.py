@@ -187,6 +187,23 @@ def _materialize(config: ExperimentConfig):
     return basis, density, signal
 
 
+def _replicate(config: ExperimentConfig, n: int, density, signal, kernel, threads: int) -> list:
+    """``kernel(sample)`` of every replication at n, in replication order on
+    any number of ``threads``; replication rep draws from its own seed."""
+    if threads < 1:
+        raise ConfigError(f"threads={threads} must be at least 1")
+
+    def one(rep: int):
+        seed = replication_seed(config.master_seed, n, rep)
+        return kernel(generate_sample(signal.fn, density, n, seed, noiseless=config.noiseless))
+
+    reps = range(config.replications)
+    if threads == 1:
+        return [one(rep) for rep in reps]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one, reps))
+
+
 @dataclass
 class RiskReport:
     """Mean l^p risks across n with the fitted decay slope vs theory."""
@@ -222,37 +239,24 @@ def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RiskRepor
     truth = signal.fn(midpoint_grid(config.risk_grid))
     ns = tuple(int(n) for n in config.n_grid)
     R = config.replications
-    grids = {n: block_grid(n, config.p, basis.coarsest_level) for n in ns}
     rules = [("block", config.d)]
     if config.compare_term:
         rules += [("hard", config.term_c), ("soft", config.term_c)]
+    grids = {n: block_grid(n, config.p, basis.coarsest_level) for n in ns}
 
-    def one(n: int, rep: int):
-        sample = generate_sample(
-            signal.fn, density, n, replication_seed(config.master_seed, n, rep),
-            noiseless=config.noiseless,
-        )
-        raw = empirical_coefficients(sample, density, basis, grids[n])
+    def score(sample):
+        grid = grids[sample.n]
+        raw = empirical_coefficients(sample, density, basis, grid)
         return [
             lp_risk(
-                synthesize(basis, threshold_tree(raw, grids[n], basis, rule, c).tree,
+                synthesize(basis, threshold_tree(raw, grid, basis, rule, c).tree,
                            config.risk_grid),
                 truth, config.p,
             )
             for rule, c in rules
         ]
 
-    width = len(rules)
-    risks = {n: np.empty((R, width)) for n in ns}
-    jobs = [(n, rep) for n in ns for rep in range(R)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for (n, rep), res in zip(jobs, pool.map(lambda nr: one(*nr), jobs)):
-                risks[n][rep] = res
-    else:
-        for n, rep in jobs:
-            risks[n][rep] = one(n, rep)
-
+    risks = {n: np.array(_replicate(config, n, density, signal, score, threads)) for n in ns}
     means = [float(risks[n][:, 0].mean()) for n in ns]
     errs = [float(risks[n][:, 0].std(ddof=1) / math.sqrt(R)) for n in ns]
     slope, intercept, slope_err = fit_rate(zip(ns, means))
@@ -343,7 +347,7 @@ def _check_diagnose_ranges(config: ExperimentConfig, moment, conc) -> None:
 
 
 def coefficient_deviations(
-    config: ExperimentConfig, levels, n: int, basis, density, signal
+    config: ExperimentConfig, levels, n: int, basis, density, signal, threads: int = 1
 ) -> dict:
     """Level-j coefficient errors beta_hat - beta of every replication at n.
 
@@ -352,19 +356,16 @@ def coefficient_deviations(
     are computed once on it, so several checks can share one pass.
     """
     truth = {j: signal.tree.detail(j) for j in sorted(set(levels))}
-    R = config.replications
-    out = {j: np.empty((R, beta.size)) for j, beta in truth.items()}
-    for rep in range(R):
-        sample = generate_sample(
-            signal.fn, density, n, replication_seed(config.master_seed, n, rep),
-            noiseless=config.noiseless,
-        )
-        for j, beta in truth.items():
-            out[j][rep] = empirical_detail_level(sample, density, basis, j) - beta
-    return out
+
+    def deviations(sample):
+        return [empirical_detail_level(sample, density, basis, j) - beta
+                for j, beta in truth.items()]
+
+    rows = _replicate(config, n, density, signal, deviations, threads)
+    return {j: np.array([row[i] for row in rows]) for i, j in enumerate(truth)}
 
 
-def _diagnose_pass(config: ExperimentConfig, moment=None, conc=None) -> dict:
+def _diagnose_pass(config: ExperimentConfig, moment=None, conc=None, threads: int = 1) -> dict:
     """{n: {j: deviations}} at the levels of the given checks, one pass per n.
 
     ``moment`` is a (level, translate) pair and ``conc`` a (level, block)
@@ -374,7 +375,7 @@ def _diagnose_pass(config: ExperimentConfig, moment=None, conc=None) -> dict:
     _check_diagnose_ranges(config, moment, conc)
     levels = [pair[0] for pair in (moment, conc) if pair is not None]
     return {
-        int(n): coefficient_deviations(config, levels, int(n), basis, density, signal)
+        int(n): coefficient_deviations(config, levels, int(n), basis, density, signal, threads)
         for n in config.n_grid
     }
 
@@ -513,7 +514,9 @@ def check_concentration(
     return _score_concentration(config, j, block, mu, _diagnose_pass(config, conc=(j, block)))
 
 
-def run_diagnostics(config: ExperimentConfig) -> tuple[MomentReport, ConcentrationReport]:
+def run_diagnostics(
+    config: ExperimentConfig, threads: int = 1
+) -> tuple[MomentReport, ConcentrationReport]:
     """Both checks on the config's diagnose fields from one replication pass.
 
     Equal to ``check_moment_bound`` and ``check_concentration`` called
@@ -523,7 +526,7 @@ def run_diagnostics(config: ExperimentConfig) -> tuple[MomentReport, Concentrati
     j, k = config.moment_level, config.moment_index
     conc_j, block = config.conc_level, config.conc_block
     mu = 2.0 * config.d if config.conc_mu is None else config.conc_mu
-    devs = _diagnose_pass(config, moment=(j, k), conc=(conc_j, block))
+    devs = _diagnose_pass(config, moment=(j, k), conc=(conc_j, block), threads=threads)
     return _score_moment(config, j, k, devs), _score_concentration(config, conc_j, block, mu, devs)
 
 

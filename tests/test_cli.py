@@ -3,6 +3,7 @@
 import json
 import platform
 from dataclasses import fields
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from blockshrink import (
     uniform_design,
     write_sample_csv,
 )
-from blockshrink import harness
+from blockshrink import cli, harness
 from blockshrink.cli import ConfigError, main, parse_config
 
 
@@ -304,10 +305,69 @@ class TestDispatch:
         assert r1["mean_risk"] != r2["mean_risk"]
         assert json.loads((out2 / "manifest.json").read_text())["master_seed"] == 99
 
-    def test_threads_flag_keeps_outputs_identical(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json")
+    @pytest.mark.parametrize(
+        "command,outputs",
+        [("rates", ("report.json", "risks.csv")),
+         ("diagnose", ("diagnostics.json", "concentration.csv"))],
+        ids=["rates", "diagnose"],
+    )
+    def test_threads_flag_keeps_outputs_identical(self, tmp_path, command, outputs):
+        cfg = write_config(tmp_path / "c.json", **_DIAGNOSE_OK)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["rates", "--config", str(cfg), "--out-dir", str(out1)])
-        main(["rates", "--config", str(cfg), "--threads", "4", "--out-dir", str(out2)])
-        assert (out1 / "risks.csv").read_bytes() == (out2 / "risks.csv").read_bytes()
-        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+        main([command, "--config", str(cfg), "--out-dir", str(out1)])
+        main([command, "--config", str(cfg), "--threads", "4", "--out-dir", str(out2)])
+        for name in outputs:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["rates", "diagnose"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exits_two(self, tmp_path, capsys, command, threads):
+        cfg = write_config(tmp_path / "c.json", **_DIAGNOSE_OK)
+        argv = [command, "--config", str(cfg), "--threads", threads, "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"threads={threads}" in capsys.readouterr().err
+
+    def test_manifest_started_before_run(self, tmp_path, monkeypatch):
+        called = []
+
+        def timed(*args, **kwargs):
+            called.append(datetime.now(timezone.utc))
+            return harness.run_rate_experiment(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_rate_experiment", timed)
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["rates", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        started = datetime.fromisoformat(manifest["started_at"])
+        finished = datetime.fromisoformat(manifest["finished_at"])
+        assert started <= called[0] <= finished
+
+
+# Each row: the command, its extra arguments, and the field the message must
+# name.  ``fit`` reads the sample CSV written by the test.
+_BAD_P_OR_D = [
+    ("fit", ["--p", "inf"], "p=inf", "fit-p-inf"),
+    ("fit", ["--p", "1000"], "p=1000", "fit-p-1000"),
+    ("fit", ["--p", "nan"], "p=nan", "fit-p-nan"),
+    ("fit", ["--d", "nan"], "d=nan", "fit-d-nan"),
+    ("fit", ["--d", "inf"], "d=inf", "fit-d-inf"),
+    ("rates", {"p": 1000}, "p=1000", "rates-config-p-1000"),
+    ("diagnose", {"p": 1000}, "p=1000", "diagnose-config-p-1000"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,extra,field",
+    [pytest.param(c, e, f, id=name) for c, e, f, name in _BAD_P_OR_D],
+)
+def test_bad_p_or_d_exits_two_naming_it(tmp_path, capsys, command, extra, field):
+    if command == "fit":
+        csv = tmp_path / "sample.csv"
+        write_sample_csv(csv, generate_sample(np.sin, uniform_design(), 1024, seed=9))
+        argv = ["fit", "--input", str(csv), *extra]
+    else:
+        cfg = write_config(tmp_path / "c.json", **{**_DIAGNOSE_OK, **extra})
+        argv = [command, "--config", str(cfg)]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err

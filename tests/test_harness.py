@@ -12,6 +12,7 @@ from blockshrink import (
     check_concentration,
     check_moment_bound,
     empirical_coefficients,
+    empirical_detail_level,
     fit_rate,
     generate_sample,
     linear_tilt_design,
@@ -314,6 +315,19 @@ class TestDiagnosePass:
         moment, conc = run_diagnostics(config)
         assert moment == check_moment_bound(config, moment_level, 1)
         assert conc == check_concentration(config, conc_level, 0, 2.0 * config.d)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_rows_in_replication_order(self, threads):
+        """Row rep of every deviation matrix comes from replication rep's seed."""
+        config = ExperimentConfig(signal={"name": "doppler"}, n_grid=(512,), replications=50,
+                                  master_seed=31)
+        basis, density, signal = harness._materialize(config)
+        devs = harness.coefficient_deviations(config, (2, 3), 512, basis, density, signal, threads)
+        for rep in range(config.replications):
+            sample = generate_sample(signal.fn, density, 512, replication_seed(31, 512, rep))
+            for j, dev in devs.items():
+                expected = empirical_detail_level(sample, density, basis, j) - signal.tree.detail(j)
+                assert np.array_equal(dev[rep], expected)
 
     @pytest.mark.parametrize(
         "override,message",
