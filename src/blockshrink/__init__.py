@@ -43,6 +43,7 @@ from .estimator import (
     Estimate,
     block_grid,
     block_statistic,
+    block_statistics,
     blockshrink,
     empirical_coefficients,
     empirical_detail_level,
@@ -56,8 +57,6 @@ from .harness import (
     MomentReport,
     RiskReport,
     calibrate_threshold,
-    check_concentration,
-    check_moment_bound,
     fit_rate,
     lp_risk,
     replication_seed,

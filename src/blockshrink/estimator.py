@@ -94,6 +94,13 @@ def block_statistic(coeffs, p: float) -> float:
     return float(np.mean(np.abs(coeffs) ** p) ** (1.0 / p))
 
 
+def block_statistics(coeffs, edges, p: float) -> np.ndarray:
+    """block_statistic of every block [edges[b], edges[b + 1]) along the last
+    axis of ``coeffs``; ``edges`` runs from 0 to the axis length."""
+    starts, sizes = edges[:-1], np.diff(edges)
+    return (np.add.reduceat(np.abs(coeffs) ** p, starts, axis=-1) / sizes) ** (1.0 / p)
+
+
 def _weights(sample: Sample, density: DesignDensity) -> np.ndarray:
     g = density.pdf(sample.x)
     if np.any(g < density.g_min - 1e-12) or np.any(g > density.g_max + 1e-12):
@@ -178,7 +185,7 @@ def threshold_tree(
         level = tree.detail(j)
         edges = grid.boundaries(j)
         starts, sizes = edges[:-1], np.diff(edges)
-        stat = (np.add.reduceat(np.abs(level) ** p, starts) / sizes) ** (1.0 / p)
+        stat = block_statistics(level, edges, p)
         if rule == "block":
             mask = stat >= cut
             level[~np.repeat(mask, sizes)] = 0.0

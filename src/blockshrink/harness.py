@@ -2,10 +2,10 @@
 
 The harness measures the integrated l^p error of the block estimator across
 a grid of sample sizes, fits the log-log decay slope, and compares it to the
-theoretical risk exponent of the configured Besov ball.  It also verifies
-two finite-sample properties of the empirical coefficients: the 2p-th moment
-decay E|beta_hat - beta|^{2p} ~ n^{-p}, and the block-deviation tail bound
-P(block l^p mean of deviations >= mu/2 sqrt(n)) <= 4 n^{-p}.
+theoretical risk exponent of the configured Besov ball.  ``run_diagnostics``
+checks, at the config's diagnose fields, the 2p-th moment decay
+E|beta_hat - beta|^{2p} ~ n^{-p} and the tail bound P(the estimator's block
+statistic of the deviations >= mu/2 sqrt(n)) <= 4 n^{-p}.
 
 Everything is deterministic given the master seed: replication seeds derive
 from (master_seed, n, replication index), so enlarging the n grid never
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -26,6 +28,7 @@ from .besov import ball_from_spec, make_test_function, rate_spec, signal_spec
 from .design import DesignDensity, density_from_spec, generate_sample
 from .estimator import (
     block_grid,
+    block_statistics,
     empirical_coefficients,
     empirical_detail_level,
     threshold_tree,
@@ -102,8 +105,6 @@ class ExperimentConfig:
             raise ValueError(f"n_grid entries must be at least 256, got {min(ns)}")
         if self.replications < 50:
             raise ValueError(f"replications must be at least 50, got {self.replications}")
-        if self.p < 2:
-            raise ValueError(f"p={self.p} out of range (need p >= 2)")
         if self.d < 0:
             raise ValueError("threshold constant d must be nonnegative")
         if self.term_c <= 0:
@@ -121,6 +122,11 @@ class ExperimentConfig:
             j0 = coarsest_level(self.basis_family)
         except ValueError as exc:
             raise ValueError(f"basis_family: {exc}") from exc
+        with warnings.catch_warnings():
+            # p and each n must give a block geometry; clamping is the run's to report
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for n in ns:
+                block_grid(n, self.p, j0)
         signal_spec(self.signal, j0, self.jmax)
         try:
             ball = ball_from_spec(self.ball)
@@ -189,18 +195,20 @@ def _materialize(config: ExperimentConfig):
 
 def _replicate(config: ExperimentConfig, n: int, density, signal, kernel, threads: int) -> list:
     """``kernel(sample)`` of every replication at n, in replication order on
-    any number of ``threads``; replication rep draws from its own seed."""
+    up to ``threads`` workers (at most one per CPU); replication rep draws
+    from its own seed."""
     if threads < 1:
         raise ConfigError(f"threads={threads} must be at least 1")
+    workers = min(threads, os.cpu_count() or 1)
 
     def one(rep: int):
         seed = replication_seed(config.master_seed, n, rep)
         return kernel(generate_sample(signal.fn, density, n, seed, noiseless=config.noiseless))
 
     reps = range(config.replications)
-    if threads == 1:
+    if workers == 1:
         return [one(rep) for rep in reps]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, reps))
 
 
@@ -315,26 +323,23 @@ class MomentReport:
     passed: bool
 
 
-def _check_diagnose_ranges(config: ExperimentConfig, moment, conc) -> None:
+def _check_diagnose_ranges(config: ExperimentConfig) -> None:
     """Check the moment check's (level, translate) and the concentration
     check's (level, block) against the estimator's levels at every n of
-    ``n_grid``; either pair may be None.
+    ``n_grid``.
 
     Raises ConfigError naming the config field and the ``n_grid`` entry.
     """
-    if moment is not None and len(config.n_grid) < 3:
+    if len(config.n_grid) < 3:
         raise ConfigError("n_grid needs at least 3 sample sizes to fit the moment slope")
     j0 = coarsest_level(config.basis_family)
     for n in config.n_grid:
         grid = block_grid(n, config.p, j0)
-        checks = (
-            (("moment_level", "moment_index"), moment, lambda j: 1 << j),
-            (("conc_level", "conc_block"), conc, grid.block_count),
-        )
-        for (level_field, index_field), pair, count in checks:
-            if pair is None:
-                continue
-            j, index = pair
+        for level_field, index_field, count in (
+            ("moment_level", "moment_index", lambda j: 1 << j),
+            ("conc_level", "conc_block", grid.block_count),
+        ):
+            j, index = getattr(config, level_field), getattr(config, index_field)
             if not grid.j_low <= j <= grid.j_high:
                 raise ConfigError(
                     f"{level_field}={j} outside the estimator levels "
@@ -365,28 +370,10 @@ def coefficient_deviations(
     return {j: np.array([row[i] for row in rows]) for i, j in enumerate(truth)}
 
 
-def _diagnose_pass(config: ExperimentConfig, moment=None, conc=None, threads: int = 1) -> dict:
-    """{n: {j: deviations}} at the levels of the given checks, one pass per n.
-
-    ``moment`` is a (level, translate) pair and ``conc`` a (level, block)
-    pair; both are range-checked at every n before any sample is drawn.
-    """
-    basis, density, signal = _materialize(config)
-    _check_diagnose_ranges(config, moment, conc)
-    levels = [pair[0] for pair in (moment, conc) if pair is not None]
-    return {
-        int(n): coefficient_deviations(config, levels, int(n), basis, density, signal, threads)
-        for n in config.n_grid
-    }
-
-
-def _block_stats(dev: np.ndarray, lo: int, hi: int, p: float) -> np.ndarray:
-    """Per-replication block statistic (mean |dev|^p over [lo, hi))^(1/p)."""
-    return np.mean(np.abs(dev[:, lo:hi]) ** p, axis=1) ** (1.0 / p)
-
-
-def _score_moment(config: ExperimentConfig, j: int, k: int, devs: dict) -> MomentReport:
-    """Score the moment check on coefficient (j, k) from {n: {j: deviations}}."""
+def _score_moment(config: ExperimentConfig, devs: dict) -> MomentReport:
+    """Score the moment check on the config's (moment_level, moment_index)
+    from {n: {j: deviations}}."""
+    j, k = config.moment_level, config.moment_index
     ns = tuple(devs)
     power = 2.0 * config.p
     moments, errs = [], []
@@ -411,15 +398,6 @@ def _score_moment(config: ExperimentConfig, j: int, k: int, devs: dict) -> Momen
     )
 
 
-def check_moment_bound(config: ExperimentConfig, j: int, k: int) -> MomentReport:
-    """Monte Carlo slope of log E|beta_hat_{j,k} - beta_{j,k}|^{2p} vs log n.
-
-    The true coefficient comes from the quadrature oracle; theory predicts
-    the slope -p.
-    """
-    return _score_moment(config, j, k, _diagnose_pass(config, moment=(j, k)))
-
-
 @dataclass
 class ConcentrationReport:
     """Tail behaviour of the block l^p deviation statistic across n."""
@@ -438,96 +416,65 @@ class ConcentrationReport:
     passed: bool
 
 
-def _score_concentration(
-    config: ExperimentConfig, j: int, block: int, mu: float, devs: dict
-) -> ConcentrationReport:
-    """Score the concentration check on (j, block) at mu from {n: {j: deviations}}."""
+def _score_concentration(config: ExperimentConfig, devs: dict) -> ConcentrationReport:
+    """Score the concentration check on the config's (conc_level, conc_block)
+    from {n: {j: deviations}}; ``conc_mu`` None means mu = 2 d.
+
+    The gating event is block statistic >= mu/2 * n^{-1/2}; the envelope is
+    4 n^{-p}.  A sweep over smaller and larger mu is reported alongside (the
+    theory guarantees only that a large enough mu works, not its value).
+    """
+    j, block, p = config.conc_level, config.conc_block, config.p
+    mu = float(2.0 * config.d if config.conc_mu is None else config.conc_mu)
+    factors = np.array([0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.0])
+    sweep = sorted({float(m) for m in np.round(mu * factors, 10)} | {mu})
+    gated = sweep.index(mu)
     ns = tuple(devs)
-    p = config.p
     j0 = coarsest_level(config.basis_family)
-    mu_sweep_factors = np.array([0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.0])
-    sweep_mus = sorted(set(np.round(mu * mu_sweep_factors, 10)) | {float(mu)}) if mu > 0 else [0.0]
-    freqs, uppers, envs, medians = [], [], [], []
-    sweep_rows = []
+    hits, envs, medians = [], [], []
     for n in ns:
         edges = block_grid(n, p, j0).boundaries(j)
-        stats = _block_stats(devs[n][j], edges[block], edges[block + 1], p)
-        cut = 0.5 * mu / math.sqrt(n)
-        hits = int(np.count_nonzero(stats >= cut))
-        R = len(stats)
-        freqs.append(hits / R)
-        uppers.append(wilson_upper(hits, R))
+        stats = block_statistics(devs[n][j], edges, p)[:, block]
+        cuts = 0.5 * np.array(sweep) / math.sqrt(n)
+        hits.append(np.count_nonzero(stats[:, None] >= cuts, axis=0).tolist())
         envs.append(4.0 * n ** (-p))
         medians.append(float(np.median(stats)))
-        sweep_rows.append(
-            {
-                "n": n,
-                "mu": list(map(float, sweep_mus)),
-                "frequency": [
-                    float(np.mean(stats >= 0.5 * m / math.sqrt(n))) for m in sweep_mus
-                ],
-            }
-        )
-    if len(ns) >= 3:
-        median_slope, _, _ = fit_rate(zip(ns, medians))
-    else:
-        median_slope = math.nan
-    passed = all(f <= e for f, e in zip(freqs, envs))
-    smallest = math.inf
-    for m in sweep_mus:
-        ok = all(
-            row["frequency"][row["mu"].index(float(m))] <= 4.0 * row["n"] ** (-p)
-            for row in sweep_rows
-        )
-        if ok:
-            smallest = float(m)
-            break
+    R = config.replications
+    table = [[h / R for h in row] for row in hits]
+    passing = [i for i in range(len(sweep)) if all(row[i] <= e for row, e in zip(table, envs))]
+    median_slope, _, _ = fit_rate(zip(ns, medians))
     return ConcentrationReport(
         j=j,
         block=block,
-        mu=float(mu),
+        mu=mu,
         n_grid=ns,
-        frequency=freqs,
-        wilson_upper=uppers,
+        frequency=[row[gated] for row in table],
+        wilson_upper=[wilson_upper(row[gated], R) for row in hits],
         envelope=envs,
         median_stat=medians,
         median_slope=median_slope,
-        mu_sweep=sweep_rows,
-        smallest_passing_mu=smallest,
-        passed=bool(passed),
+        mu_sweep=[{"n": n, "mu": list(sweep), "frequency": row} for n, row in zip(ns, table)],
+        smallest_passing_mu=sweep[passing[0]] if passing else math.inf,
+        passed=gated in passing,
     )
-
-
-def check_concentration(
-    config: ExperimentConfig, j: int, block: int, mu: float
-) -> ConcentrationReport:
-    """Empirical frequency of large block deviations against the 4 n^{-p} tail.
-
-    The gating event is block l^p deviation mean >= mu/2 * n^{-1/2} at the
-    given mu; a sweep over smaller and larger mu is reported alongside (the
-    theory guarantees only that a large enough mu works, not its value).
-    The check passes when the observed frequency stays under the envelope
-    for every n.
-    """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    return _score_concentration(config, j, block, mu, _diagnose_pass(config, conc=(j, block)))
 
 
 def run_diagnostics(
     config: ExperimentConfig, threads: int = 1
 ) -> tuple[MomentReport, ConcentrationReport]:
-    """Both checks on the config's diagnose fields from one replication pass.
+    """The moment and concentration checks on the config's diagnose fields.
 
-    Equal to ``check_moment_bound`` and ``check_concentration`` called
-    separately (``conc_mu`` None means 2 d), at half the sampling cost:
-    every (n, replication) sample is drawn once for both.
+    Both fields' ranges are checked at every n before any sample is drawn;
+    then every (n, replication) sample is drawn once for both checks.
     """
-    j, k = config.moment_level, config.moment_index
-    conc_j, block = config.conc_level, config.conc_block
-    mu = 2.0 * config.d if config.conc_mu is None else config.conc_mu
-    devs = _diagnose_pass(config, moment=(j, k), conc=(conc_j, block), threads=threads)
-    return _score_moment(config, j, k, devs), _score_concentration(config, conc_j, block, mu, devs)
+    basis, density, signal = _materialize(config)
+    _check_diagnose_ranges(config)
+    levels = (config.moment_level, config.conc_level)
+    devs = {
+        int(n): coefficient_deviations(config, levels, int(n), basis, density, signal, threads)
+        for n in config.n_grid
+    }
+    return _score_moment(config, devs), _score_concentration(config, devs)
 
 
 def calibrate_threshold(
@@ -553,18 +500,11 @@ def calibrate_threshold(
     basis, density, signal = _materialize(config)
     grid = block_grid(n, p, basis.coarsest_level)
     devs = coefficient_deviations(config, grid.levels(), n, basis, density, signal)
-    level_stats = {}
-    for j, dev in devs.items():
-        edges = grid.boundaries(j)
-        level_stats[j] = np.column_stack(
-            [_block_stats(dev, lo, hi, p) for lo, hi in zip(edges[:-1], edges[1:])]
-        )
-    rows = []
-    for d in candidates:
-        cut = d / math.sqrt(n)
-        keeps = total = 0
-        for stats in level_stats.values():
-            keeps += int(np.count_nonzero(stats >= cut))
-            total += stats.size
-        rows.append({"d": float(d), "false_keep_rate": keeps / total})
-    return rows
+    stats = np.concatenate(
+        [block_statistics(dev, grid.boundaries(j), p) for j, dev in devs.items()], axis=1
+    )
+    return [
+        {"d": float(d),
+         "false_keep_rate": np.count_nonzero(stats >= d / math.sqrt(n)) / stats.size}
+        for d in candidates
+    ]

@@ -26,8 +26,6 @@ from blockshrink import (
     block_grid,
     block_statistic,
     blockshrink,
-    check_concentration,
-    check_moment_bound,
     concentration_ratio,
     empirical_coefficients,
     fit_rate,
@@ -36,6 +34,7 @@ from blockshrink import (
     make_basis,
     make_test_function,
     rate_spec,
+    run_diagnostics,
     run_rate_experiment,
     uniform_design,
 )
@@ -134,8 +133,10 @@ def test_criterion_3_moment_bound():
         master_seed=SEED,
         ball={"s": 1, "pi": "inf", "r": "inf"},
         moment_tol=0.3,
+        moment_level=3,
+        moment_index=2,
     )
-    rep = check_moment_bound(config, 3, 2)
+    rep, _ = run_diagnostics(config)
     ok = abs(rep.slope - (-2.0)) <= 0.3
     report(
         "criterion 3 (coefficient moment decay)",
@@ -154,8 +155,11 @@ def test_criterion_4_concentration_envelope():
         replications=10_000,
         master_seed=SEED,
         ball={"s": 1, "pi": "inf", "r": "inf"},
+        conc_level=3,
+        conc_block=0,
+        conc_mu=8.0,
     )
-    rep = check_concentration(config, 3, 0, 8.0)
+    _, rep = run_diagnostics(config)
     ok = all(f <= e for f, e in zip(rep.frequency, rep.envelope))
     report(
         "criterion 4 (block-deviation envelope)",

@@ -2,6 +2,7 @@
 
 import json
 import platform
+import warnings
 from dataclasses import fields
 from datetime import datetime, timezone
 
@@ -64,6 +65,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="256"):
             parse_config(write_config(tmp_path / "c.json", n_grid=[128, 512]))
 
+    def test_block_clamping_not_warned_at_parse_time(self, tmp_path):
+        # p = 4 clamps j_low at n = 1024; the run warns, parsing does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = parse_config(write_config(tmp_path / "c.json", p=4, n_grid=[1024, 2048]))
+        assert cfg.p == 4
+
     def test_refine_depth_checked_at_parse_time(self, tmp_path):
         with pytest.raises(ConfigError, match="refine_depth=30"):
             parse_config(write_config(tmp_path / "c.json", refine_depth=30))
@@ -105,6 +113,8 @@ _MALFORMED = [
      "density", "piecewise-nan"),
     ({"density": {"kind": "piecewise", "breaks": ["a"], "values": [1, 1]}}, "density",
      "piecewise-str"),
+    ({"p": 1000}, "p=1000", "p-block-size-overflows"),
+    ({"basis_family": "db6"}, "n=256", "n-too-small-for-db6"),
 ]
 # Diagnose fields that only diagnose reads: each row breaks one of them
 # against the base n_grid, whose n = 256 admits level 2 only.

@@ -14,6 +14,7 @@ from blockshrink import (
     Sample,
     block_grid,
     block_statistic,
+    block_statistics,
     blockshrink,
     empirical_coefficients,
     exact_coefficients,
@@ -122,6 +123,24 @@ class TestBlockStatistic:
         assert 0.0 <= stat <= top + 1e-9
         doubled = block_statistic([2.0 * c for c in coeffs], p)
         assert doubled == pytest.approx(2.0 * stat, rel=1e-9, abs=1e-12)
+
+
+class TestBlockStatistics:
+    @pytest.mark.parametrize("shape", [(64,), (9, 64)], ids=["1-D", "R-by-2^j"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scalar_oracle(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(shape) * rng.uniform(0.1, 10.0)
+        p = rng.uniform(2.0, 6.0)
+        size = 2 * int(rng.integers(1, 15)) + 1  # odd, so the last block is short
+        edges = np.append(np.arange(0, 64, size), 64)
+        assert edges[-1] - edges[-2] < size
+        stats = block_statistics(coeffs, edges, p)
+        assert stats.shape == shape[:-1] + (len(edges) - 1,)
+        rows = coeffs.reshape(-1, 64)
+        for row, got in zip(rows, stats.reshape(len(rows), -1)):
+            for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+                assert got[b] == pytest.approx(block_statistic(row[lo:hi], p), rel=1e-14)
 
 
 class TestEmpiricalCoefficients:

@@ -1,6 +1,7 @@
 """Risk computation, rate fitting, and the Monte Carlo diagnostics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from blockshrink import (
     ConfigError,
     ExperimentConfig,
     blockshrink,
-    check_concentration,
-    check_moment_bound,
     empirical_coefficients,
     empirical_detail_level,
     fit_rate,
@@ -216,6 +215,8 @@ def moment_config():
         n_grid=(512, 1024, 2048, 4096),
         replications=400,
         master_seed=31,
+        moment_level=3,
+        moment_index=2,
     )
 
 
@@ -239,7 +240,7 @@ class TestMomentDiagnostics:
             assert np.all(dev == 0.0)
 
     def test_moment_slope_near_minus_p(self, moment_config):
-        report = check_moment_bound(moment_config, 3, 2)
+        report, _ = run_diagnostics(moment_config)
         assert report.passed
         assert report.slope == pytest.approx(-2.0, abs=0.3)
 
@@ -255,7 +256,7 @@ class TestMomentDiagnostics:
 
     def test_level_range_validated(self, moment_config):
         with pytest.raises(ValueError, match="outside"):
-            check_moment_bound(moment_config, 9, 0)
+            run_diagnostics(replace(moment_config, moment_level=9, moment_index=0))
 
 
 @pytest.fixture(scope="module")
@@ -265,8 +266,11 @@ def concentration_report():
         n_grid=(1024, 2048, 4096),
         replications=800,
         master_seed=13,
+        conc_level=3,
+        conc_block=0,
+        conc_mu=8.0,
     )
-    return check_concentration(config, 3, 0, 8.0)
+    return run_diagnostics(config)[1]
 
 
 class TestConcentrationDiagnostics:
@@ -279,12 +283,15 @@ class TestConcentrationDiagnostics:
     def test_mu_zero_event_certain(self):
         config = ExperimentConfig(
             signal={"name": "zero"},
-            n_grid=(1024,),
+            n_grid=(1024, 2048, 4096),
             replications=50,
             master_seed=13,
+            conc_level=3,
+            conc_block=0,
+            conc_mu=0.0,
         )
-        rep = check_concentration(config, 3, 0, 0.0)
-        assert rep.frequency == [1.0]
+        _, rep = run_diagnostics(config)
+        assert rep.frequency == [1.0, 1.0, 1.0]
 
     def test_frequency_nonincreasing_in_mu(self, concentration_report):
         for row in concentration_report.mu_sweep:
@@ -300,6 +307,8 @@ class TestDiagnosePass:
         "levels", [(3, 3), (2, 3)], ids=["same-level", "different-levels"]
     )
     def test_shared_pass_equals_separate_checks(self, levels):
+        """Each report of the shared pass equals its check scored on a pass
+        that computes only that check's level."""
         moment_level, conc_level = levels
         config = ExperimentConfig(
             signal={"name": "doppler"},
@@ -313,8 +322,39 @@ class TestDiagnosePass:
             conc_block=0,
         )
         moment, conc = run_diagnostics(config)
-        assert moment == check_moment_bound(config, moment_level, 1)
-        assert conc == check_concentration(config, conc_level, 0, 2.0 * config.d)
+        basis, density, signal = harness._materialize(config)
+
+        def separate_pass(level):
+            return {
+                n: harness.coefficient_deviations(config, (level,), n, basis, density, signal)
+                for n in config.n_grid
+            }
+
+        assert moment == harness._score_moment(config, separate_pass(moment_level))
+        assert conc == harness._score_concentration(config, separate_pass(conc_level))
+
+    def test_each_report_ignores_the_other_checks_level(self):
+        """Sharing one pass, each check scores its own level: the reports at
+        levels (2, 3) are the moment report at (2, 2) and the concentration
+        report at (3, 3)."""
+
+        def cfg(moment_level, conc_level):
+            return ExperimentConfig(
+                signal={"name": "doppler"},
+                density={"kind": "linear-tilt", "slope": 0.5},
+                n_grid=(512, 1024, 2048),
+                replications=60,
+                master_seed=23,
+                moment_level=moment_level,
+                moment_index=1,
+                conc_level=conc_level,
+                conc_block=0,
+            )
+
+        moment, conc = run_diagnostics(cfg(2, 3))
+        assert moment == run_diagnostics(cfg(2, 2))[0]
+        assert conc == run_diagnostics(cfg(3, 3))[1]
+        assert (moment.j, conc.j) == (2, 3)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_rows_in_replication_order(self, threads):
@@ -349,6 +389,43 @@ class TestDiagnosePass:
         config = ExperimentConfig(signal={"name": "zero"}, **{**fields, **override})
         with pytest.raises(ConfigError, match=message):
             run_diagnostics(config)
+
+
+class TestReplicate:
+    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
+        """A huge ``threads`` opens one worker per CPU, and the serial path
+        when there is one CPU; the fake pool maps serially, so no thread starts."""
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
+        config = ExperimentConfig(signal={"name": "doppler"}, n_grid=(256,), replications=50)
+        _, density, signal = harness._materialize(config)
+
+        def run(threads):
+            return harness._replicate(config, 256, density, signal, lambda s: s.y[0], threads)
+
+        serial = run(1)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        assert run(10**6) == serial
+        assert run(3) == serial
+        assert pools == [4, 3]
+        for cpus in (1, None):
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+            assert run(10**6) == serial
+        assert pools == [4, 3]
 
 
 class TestCalibration:
