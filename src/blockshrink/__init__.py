@@ -46,7 +46,6 @@ from .estimator import (
     block_statistics,
     blockshrink,
     empirical_coefficients,
-    empirical_detail_level,
     term_threshold,
     threshold_tree,
 )

@@ -1,11 +1,11 @@
 """Periodized compactly supported orthonormal wavelet bases on [0, 1].
 
 The scaling function (father) and wavelet (mother) are tabulated on a dyadic
-grid by cascade refinement of the two-scale relation; Haar is evaluated in
-closed form.  Periodization wraps the integer translates around the unit
-interval, which yields an orthonormal family once the resolution level is at
-least ``coarsest_level`` (the first level at which the wrapped translates no
-longer overlap themselves).
+grid by cascade refinement of the two-scale relation; Haar's father is
+evaluated in closed form and its mother by that relation.  Periodization wraps
+the integer translates around the unit interval, which yields an orthonormal
+family once the resolution level is at least ``coarsest_level`` (the first
+level at which the wrapped translates no longer overlap themselves).
 
 Grid convention: throughout the package, "function values on a grid of size
 N" means values at the midpoints x_i = (i + 1/2)/N.  Integrals are the
@@ -132,28 +132,17 @@ class WaveletBasis:
         """Abscissae of the tables: 0 .. support_length, step 2^-refine_depth."""
         return np.arange(len(self.phi_table)) / (1 << self.refine_depth)
 
-    def _table_eval(self, table: np.ndarray, t: np.ndarray) -> np.ndarray:
-        u = np.ldexp(t, self.refine_depth)
-        i = np.floor(u).astype(np.int64)
-        inside = (i >= 0) & (i < len(table) - 1)
-        ic = np.clip(i, 0, len(table) - 2)
-        frac = u - ic
-        vals = table[ic] * (1.0 - frac) + table[ic + 1] * frac
-        return np.where(inside, vals, 0.0)
-
     def base(self, kind: str, t) -> np.ndarray:
         """Unperiodized father/mother value at t (zero outside [0, support])."""
         t = np.asarray(t, dtype=float)
         if self.family == "haar":
             if kind == "father":
                 return ((t >= 0.0) & (t < 1.0)).astype(float)
-            # Jump convention: the positive lobe is closed on the right, so
-            # psi(1/2) = +1; measure-zero choice, pinned by the eval contract.
-            return np.where(
-                (t >= 0.0) & (t <= 0.5), 1.0, np.where((t > 0.5) & (t < 1.0), -1.0, 0.0)
-            )
+            # The two-scale relation psi(t) = phi(2t) - phi(2t - 1) fixes the
+            # jumps as the analysis filter bank sees them: psi(1/2) = -1.
+            return self.base("father", 2.0 * t) - self.base("father", 2.0 * t - 1.0)
         table = self.phi_table if kind == "father" else self.psi_table
-        return self._table_eval(table, t)
+        return np.interp(t, self.table_grid(), table, left=0.0, right=0.0)
 
     def eval(self, kind: str, j: int, k: int, x) -> np.ndarray:
         """Periodized basis function value: 2^{j/2} sum_l base(2^j (x - l) - k).
@@ -213,26 +202,20 @@ def make_basis(family: str, refine_depth: int = 12) -> WaveletBasis:
     key = _ALIASES[str(family).lower()]
     check_refine_depth(refine_depth)
     h = _FILTERS[key].copy()
-    support = len(h) - 1
-    if key == "haar":
-        size = (1 << refine_depth) + 1
-        t = np.arange(size) / (1 << refine_depth)
-        phi = ((t >= 0.0) & (t < 1.0)).astype(float)
-        psi = np.where((t <= 0.5), 1.0, -1.0)
-        psi[-1] = 0.0
+    if key == "haar":  # its transfer matrix is the identity: phi in closed form
+        phi = np.append(np.ones(1 << refine_depth), 0.0)
     else:
         phi = _integer_scaling_values(h)
         for lvl in range(refine_depth):
             phi = _refine(phi, h, lvl)
-        psi = _wavelet_table(phi, h, refine_depth)
     basis = WaveletBasis(
         family=key,
         lowpass=h,
-        support_length=support,
+        support_length=len(h) - 1,
         coarsest_level=tau,
         refine_depth=refine_depth,
         phi_table=phi,
-        psi_table=psi,
+        psi_table=_wavelet_table(phi, h, refine_depth),
     )
     _validate_basis(basis)
     return basis
@@ -366,6 +349,16 @@ def _inverse_step(basis: WaveletBasis, alpha: np.ndarray, beta: np.ndarray) -> n
     for m, (hm, gm) in enumerate(zip(basis.lowpass, _highpass(basis.lowpass))):
         out[(even + m) % dim] += hm * alpha + gm * beta
     return out
+
+
+def _forward_step(basis: WaveletBasis, scaling: np.ndarray):
+    """One periodic analysis step (Mallat 1989), the adjoint of _inverse_step:
+    level-(j + 1) scaling coefficients a to the level-j alpha_k = sum_m h_m
+    a_{2k+m} and beta_k = sum_m g_m a_{2k+m}, with 2k + m wrapped mod 2^(j+1)."""
+    dim = len(scaling)
+    taps = scaling[(np.arange(0, dim, 2) + np.arange(len(basis.lowpass))[:, None]) % dim]
+    filters = np.stack([basis.lowpass, _highpass(basis.lowpass)])
+    return (filters[:, :, None] * taps).sum(axis=1)
 
 
 def synthesize(basis: WaveletBasis, tree: CoefficientTree, grid_size: int) -> np.ndarray:

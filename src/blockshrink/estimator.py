@@ -1,8 +1,9 @@
 """Block-thresholded wavelet regression from randomly designed samples.
 
 Empirical coefficients are the density-reweighted sums
-beta_hat_{j,k} = n^-1 sum_i y_i g(x_i)^-1 psi_{j,k}(x_i), computed for the
-levels selected by the sample size.  Whole blocks of detail coefficients are
+beta_hat_{j,k} = n^-1 sum_i y_i g(x_i)^-1 psi_{j,k}(x_i) on the levels
+selected by the sample size, all from scaling sums one level above the finest
+and the periodic analysis filter bank.  Whole blocks of detail coefficients are
 kept or killed by comparing the block's normalized l^p mean against
 threshold / sqrt(n); scaling coefficients at the coarse level are always kept.
 Classical term-by-term hard/soft thresholding is provided as a baseline.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CoefficientTree, WaveletBasis, _level_sums
+from .basis import CoefficientTree, WaveletBasis, _forward_step, _level_sums
 from .design import DesignDensity, Sample
 
 
@@ -108,6 +109,18 @@ def _weights(sample: Sample, density: DesignDensity) -> np.ndarray:
     return sample.y / (g * sample.n)
 
 
+def _coefficient_tree(basis: WaveletBasis, grid: BlockGrid, x, w) -> CoefficientTree:
+    """Tree of the weighted sums sum_i w_i f_{j,k}(x_i) on the grid's levels:
+    the scaling sums at level j_high + 1, then one analysis step per level
+    down to j_low.  The sums follow the order of ``x``."""
+    alpha = _level_sums(basis, "father", grid.j_high + 1, x, w)
+    beta = []
+    for _ in grid.levels():
+        alpha, detail = _forward_step(basis, alpha)
+        beta.insert(0, detail)
+    return CoefficientTree(j0=grid.j_low, jmax=grid.j_high, alpha=alpha, beta=beta)
+
+
 def empirical_coefficients(
     sample: Sample, density: DesignDensity, basis: WaveletBasis, grid: BlockGrid
 ) -> CoefficientTree:
@@ -119,19 +132,8 @@ def empirical_coefficients(
     if sample.n < 1:
         raise ValueError("sample is empty")
     order = np.lexsort((sample.y, sample.x))
-    x = sample.x[order]
-    w = _weights(sample, density)[order]
-    alpha = _level_sums(basis, "father", grid.j_low, x, w)
-    beta = [_level_sums(basis, "mother", j, x, w) for j in grid.levels()]
-    return CoefficientTree(j0=grid.j_low, jmax=grid.j_high, alpha=alpha, beta=beta)
-
-
-def empirical_detail_level(
-    sample: Sample, density: DesignDensity, basis: WaveletBasis, j: int
-) -> np.ndarray:
-    """Fast path for diagnostics: the full vector of level-j detail estimates."""
     w = _weights(sample, density)
-    return _level_sums(basis, "mother", j, sample.x, w)
+    return _coefficient_tree(basis, grid, sample.x[order], w[order])
 
 
 @dataclass(eq=False)

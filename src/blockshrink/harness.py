@@ -27,16 +27,19 @@ from .basis import check_refine_depth, coarsest_level, make_basis, midpoint_grid
 from .besov import ball_from_spec, make_test_function, rate_spec, signal_spec
 from .design import DesignDensity, density_from_spec, generate_sample
 from .estimator import (
+    _coefficient_tree,
+    _weights,
     block_grid,
     block_statistics,
     empirical_coefficients,
-    empirical_detail_level,
     threshold_tree,
 )
 
 _Z95 = 1.959963984540054
 # Largest risk grid: 2^20 midpoints (8 MiB of doubles per evaluated function).
 _MAX_RISK_GRID = 1 << 20
+# Largest sample size: one db6 replication at 2^20 peaks near 0.2 GB per thread.
+_MAX_SAMPLE = 1 << 20
 
 # Accepted Python types per annotated field type; bool is never a number here.
 _FIELD_TYPES = {
@@ -101,8 +104,8 @@ class ExperimentConfig:
             raise ValueError(f"n_grid entries must be integers, got {list(ns)!r}")
         if len(ns) == 0 or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n_grid must be strictly increasing")
-        if min(ns) < 256:
-            raise ValueError(f"n_grid entries must be at least 256, got {min(ns)}")
+        if not 256 <= min(ns) <= max(ns) <= _MAX_SAMPLE:
+            raise ValueError(f"n_grid entries must lie in 256..{_MAX_SAMPLE}, got {list(ns)!r}")
         if self.replications < 50:
             raise ValueError(f"replications must be at least 50, got {self.replications}")
         if self.d < 0:
@@ -340,10 +343,11 @@ def _check_diagnose_ranges(config: ExperimentConfig) -> None:
             ("conc_level", "conc_block", grid.block_count),
         ):
             j, index = getattr(config, level_field), getattr(config, index_field)
-            if not grid.j_low <= j <= grid.j_high:
+            top = min(grid.j_high, config.jmax)
+            if not grid.j_low <= j <= top:
                 raise ConfigError(
-                    f"{level_field}={j} outside the estimator levels "
-                    f"{grid.j_low}..{grid.j_high} at n={n} of n_grid"
+                    f"{level_field}={j} outside the estimator levels {grid.j_low}..{top} "
+                    f"at n={n} of n_grid (at most jmax={config.jmax})"
                 )
             if not 0 <= index < count(j):
                 raise ConfigError(
@@ -352,22 +356,23 @@ def _check_diagnose_ranges(config: ExperimentConfig) -> None:
 
 
 def coefficient_deviations(
-    config: ExperimentConfig, levels, n: int, basis, density, signal, threads: int = 1
+    config: ExperimentConfig, n: int, basis, density, signal, threads: int = 1
 ) -> dict:
-    """Level-j coefficient errors beta_hat - beta of every replication at n.
+    """Coefficient errors beta_hat - beta of every replication at n.
 
-    Returns {j: (replications, 2^j) matrix} for each level in ``levels``.
-    Each replication's sample is drawn once and each distinct level's sums
-    are computed once on it, so several checks can share one pass.
+    Returns {j: (replications, 2^j) matrix} for each estimator level j at n
+    up to the signal's jmax.  Each sample is drawn once and its coefficient
+    tree computed once, in the order drawn, so several checks share one pass.
     """
-    truth = {j: signal.tree.detail(j) for j in sorted(set(levels))}
+    grid = block_grid(n, config.p, basis.coarsest_level)
+    levels = range(grid.j_low, min(grid.j_high, signal.tree.jmax) + 1)
 
     def deviations(sample):
-        return [empirical_detail_level(sample, density, basis, j) - beta
-                for j, beta in truth.items()]
+        tree = _coefficient_tree(basis, grid, sample.x, _weights(sample, density))
+        return [tree.detail(j) - signal.tree.detail(j) for j in levels]
 
     rows = _replicate(config, n, density, signal, deviations, threads)
-    return {j: np.array([row[i] for row in rows]) for i, j in enumerate(truth)}
+    return {j: np.array([row[i] for row in rows]) for i, j in enumerate(levels)}
 
 
 def _score_moment(config: ExperimentConfig, devs: dict) -> MomentReport:
@@ -469,9 +474,8 @@ def run_diagnostics(
     """
     basis, density, signal = _materialize(config)
     _check_diagnose_ranges(config)
-    levels = (config.moment_level, config.conc_level)
     devs = {
-        int(n): coefficient_deviations(config, levels, int(n), basis, density, signal, threads)
+        int(n): coefficient_deviations(config, int(n), basis, density, signal, threads)
         for n in config.n_grid
     }
     return _score_moment(config, devs), _score_concentration(config, devs)
@@ -499,7 +503,7 @@ def calibrate_threshold(
     )
     basis, density, signal = _materialize(config)
     grid = block_grid(n, p, basis.coarsest_level)
-    devs = coefficient_deviations(config, grid.levels(), n, basis, density, signal)
+    devs = coefficient_deviations(config, n, basis, density, signal)
     stats = np.concatenate(
         [block_statistics(dev, grid.boundaries(j), p) for j, dev in devs.items()], axis=1
     )

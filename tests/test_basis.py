@@ -25,6 +25,10 @@ class TestMakeBasis:
         assert np.allclose(haar.lowpass, [1 / SQRT2, 1 / SQRT2])
         assert haar.support_length == 1
         assert haar.coarsest_level == 0
+        # the tables written by `blockshrink basis` follow the same jump convention
+        t = haar.table_grid()
+        assert np.array_equal(haar.phi_table, haar.base("father", t))
+        assert np.array_equal(haar.psi_table, haar.base("mother", t))
 
     def test_db4_filter_sums_to_sqrt2(self, db4):
         assert len(db4.lowpass) == 4
@@ -72,7 +76,9 @@ class TestMakeBasis:
 
 class TestEval:
     def test_haar_mother_positive_lobe(self, haar):
-        assert haar.eval("mother", 1, 0, 0.25) == pytest.approx(SQRT2, abs=1e-15)
+        assert haar.eval("mother", 1, 0, 0.125) == pytest.approx(SQRT2, abs=1e-15)
+        # psi(t) = phi(2t) - phi(2t - 1): the jump at t = 1/2 takes the lower value
+        assert haar.eval("mother", 1, 0, 0.25) == pytest.approx(-SQRT2, abs=1e-15)
 
     def test_haar_mother_outside_support(self, haar):
         assert haar.eval("mother", 1, 0, 0.75) == 0.0

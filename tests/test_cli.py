@@ -84,6 +84,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="risk_grid=2097152"):
             parse_config(write_config(tmp_path / "c.json", risk_grid=1 << 21))
 
+    def test_n_grid_capped(self, tmp_path):
+        # rejected at parse time, so no run ever draws a sample of this size
+        cfg = parse_config(write_config(tmp_path / "c.json", n_grid=[256, 1 << 20]))
+        assert cfg.n_grid == [256, 1 << 20]
+        with pytest.raises(ConfigError, match=r"n_grid .*1048576, got \[256, 512, 10{13}\]"):
+            parse_config(write_config(tmp_path / "c.json", n_grid=[256, 512, 10**13]))
+
 
 _MALFORMED = [
     ({"replications": "100"}, "replications", "replications-str"),
@@ -115,6 +122,7 @@ _MALFORMED = [
      "piecewise-str"),
     ({"p": 1000}, "p=1000", "p-block-size-overflows"),
     ({"basis_family": "db6"}, "n=256", "n-too-small-for-db6"),
+    ({"n_grid": [256, 512, 10**13]}, "n_grid", "n_grid-too-large"),
 ]
 # Diagnose fields that only diagnose reads: each row breaks one of them
 # against the base n_grid, whose n = 256 admits level 2 only.

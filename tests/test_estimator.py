@@ -22,9 +22,25 @@ from blockshrink import (
     linear_tilt_design,
     make_test_function,
     midpoint_grid,
+    piecewise_design,
     term_threshold,
     uniform_design,
 )
+from blockshrink.basis import _level_sums
+from blockshrink.estimator import _coefficient_tree
+
+# Largest |pyramid - direct sums| per unit of sum_i |w_i| that the oracle
+# property allows.  Haar's pyramid and direct sums differ only by rounding.
+# The db4/db6 direct sums read linearly interpolated cascade tables, which
+# obey the two-scale relation only up to the interpolation error; over 1050
+# seeded samples at n = 2^8..2^16 the gap stayed below 2.3e-4 (db4) and
+# 1.7e-6 (db6) times sum |w| (about 1 here), at least 100 times below n^-1/2.
+_PYRAMID_TOL = {"haar": 1e-14, "db4": 1e-3, "db6": 1e-5}
+_DESIGNS = {
+    "uniform": uniform_design(),
+    "tilt": linear_tilt_design(1.5),
+    "piecewise": piecewise_design([0.25, 0.75], [0.5, 1.5, 0.5]),
+}
 
 
 def decimal_block_geometry(n: int, p: float):
@@ -227,17 +243,51 @@ class TestEmpiricalCoefficients:
         with pytest.raises(RuntimeError, match="certified bounds"):
             empirical_coefficients(s, BrokenDensity(), haar, grid)
 
-    def test_fast_level_path_matches_tree(self, haar, db4, db6):
-        from blockshrink import empirical_detail_level
+    @given(
+        family=st.sampled_from(sorted(_PYRAMID_TOL)),
+        design=st.sampled_from(sorted(_DESIGNS)),
+        log_n=st.integers(8, 16),
+        seed=st.integers(0, 2**32 - 1),
+        dyadic=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pyramid_matches_direct_sums(self, haar, db4, db6, family, design, log_n, seed,
+                                         dyadic):
+        """The filter-bank tree against direct per-level sums; dyadic designs
+        put points on the jumps of the Haar functions."""
+        basis = {"haar": haar, "db4": db4, "db6": db6}[family]
+        n = max(1 << log_n, 512)  # db6 needs n >= 512
+        density = _DESIGNS[design]
+        s = generate_sample(lambda x: np.sin(6 * x), density, n, seed)
+        x = np.floor(s.x * 1024) / 1024 if dyadic else s.x
+        w = s.y / (density.pdf(x) * n)
+        grid = block_grid(n, 2.0, basis.coarsest_level)
+        tree = _coefficient_tree(basis, grid, x, w)
+        atol = _PYRAMID_TOL[family] * np.abs(w).sum()
+        np.testing.assert_allclose(
+            tree.alpha, _level_sums(basis, "father", grid.j_low, x, w), rtol=0, atol=atol
+        )
+        for j in grid.levels():
+            np.testing.assert_allclose(
+                tree.detail(j), _level_sums(basis, "mother", j, x, w), rtol=0, atol=atol
+            )
 
-        density = uniform_design()
-        s = generate_sample(lambda x: np.sin(2 * np.pi * x), density, 1024, seed=14)
-        for basis in (haar, db4, db6):
-            grid = block_grid(1024, 2.0, basis.coarsest_level)
-            tree = empirical_coefficients(s, density, basis, grid)
-            for j in grid.levels():
-                fast = empirical_detail_level(s, density, basis, j)
-                assert np.allclose(fast, tree.detail(j), rtol=1e-12, atol=1e-15)
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    @pytest.mark.parametrize("x", [3 / 16, 11 / 32])
+    def test_one_point_tree_equals_basis_values(self, request, family, x):
+        """At a dyadic point every value the sums read is a table node, where
+        the cascade tables obey the two-scale relation up to rounding; 3/16
+        and 11/32 sit on the middle jump of a Haar wavelet at levels 3 and 4.
+        The 16-digit db6 filter misses the sum rule sum h_even = sum h_odd by
+        3e-12, which the cascade compounds to about 2e-11 here."""
+        basis = request.getfixturevalue(family)
+        grid = block_grid(4096, 2.0, basis.coarsest_level)
+        tree = _coefficient_tree(basis, grid, np.array([x]), np.array([0.7]))
+        want = [0.7 * basis.eval("father", grid.j_low, k, x) for k in range(1 << grid.j_low)]
+        np.testing.assert_allclose(tree.alpha, want, rtol=0, atol=1e-10)
+        for j in grid.levels():
+            want = [0.7 * basis.eval("mother", j, k, x) for k in range(1 << j)]
+            np.testing.assert_allclose(tree.detail(j), want, rtol=0, atol=1e-10)
 
     def test_noiseless_consistency_rate(self, haar):
         # finite wavelet polynomial: coefficient RMS error shrinks ~ n^{-1/2}

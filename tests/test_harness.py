@@ -9,9 +9,9 @@ import pytest
 from blockshrink import (
     ConfigError,
     ExperimentConfig,
+    block_grid,
     blockshrink,
     empirical_coefficients,
-    empirical_detail_level,
     fit_rate,
     generate_sample,
     linear_tilt_design,
@@ -28,6 +28,7 @@ from blockshrink import (
     wilson_upper,
 )
 from blockshrink import harness
+from blockshrink.estimator import _coefficient_tree, _weights
 
 
 class TestLpRisk:
@@ -233,7 +234,7 @@ class TestMomentDiagnostics:
         from blockshrink.harness import _materialize, coefficient_deviations
 
         basis, density, signal = _materialize(config)
-        devs = coefficient_deviations(config, (3, 2, 3), 512, basis, density, signal)
+        devs = coefficient_deviations(config, 512, basis, density, signal)
         assert sorted(devs) == [2, 3]
         for j, dev in devs.items():
             assert dev.shape == (50, 1 << j)
@@ -307,8 +308,8 @@ class TestDiagnosePass:
         "levels", [(3, 3), (2, 3)], ids=["same-level", "different-levels"]
     )
     def test_shared_pass_equals_separate_checks(self, levels):
-        """Each report of the shared pass equals its check scored on a pass
-        that computes only that check's level."""
+        """Each report of run_diagnostics equals its check scored alone on
+        the deviations of every level."""
         moment_level, conc_level = levels
         config = ExperimentConfig(
             signal={"name": "doppler"},
@@ -324,14 +325,12 @@ class TestDiagnosePass:
         moment, conc = run_diagnostics(config)
         basis, density, signal = harness._materialize(config)
 
-        def separate_pass(level):
-            return {
-                n: harness.coefficient_deviations(config, (level,), n, basis, density, signal)
-                for n in config.n_grid
-            }
-
-        assert moment == harness._score_moment(config, separate_pass(moment_level))
-        assert conc == harness._score_concentration(config, separate_pass(conc_level))
+        devs = {
+            n: harness.coefficient_deviations(config, n, basis, density, signal)
+            for n in config.n_grid
+        }
+        assert moment == harness._score_moment(config, devs)
+        assert conc == harness._score_concentration(config, devs)
 
     def test_each_report_ignores_the_other_checks_level(self):
         """Sharing one pass, each check scores its own level: the reports at
@@ -362,12 +361,14 @@ class TestDiagnosePass:
         config = ExperimentConfig(signal={"name": "doppler"}, n_grid=(512,), replications=50,
                                   master_seed=31)
         basis, density, signal = harness._materialize(config)
-        devs = harness.coefficient_deviations(config, (2, 3), 512, basis, density, signal, threads)
+        devs = harness.coefficient_deviations(config, 512, basis, density, signal, threads)
+        grid = block_grid(512, config.p, basis.coarsest_level)
+        assert sorted(devs) == list(grid.levels())
         for rep in range(config.replications):
             sample = generate_sample(signal.fn, density, 512, replication_seed(31, 512, rep))
+            tree = _coefficient_tree(basis, grid, sample.x, _weights(sample, density))
             for j, dev in devs.items():
-                expected = empirical_detail_level(sample, density, basis, j) - signal.tree.detail(j)
-                assert np.array_equal(dev[rep], expected)
+                assert np.array_equal(dev[rep], tree.detail(j) - signal.tree.detail(j))
 
     @pytest.mark.parametrize(
         "override,message",
@@ -377,6 +378,8 @@ class TestDiagnosePass:
             ({"conc_level": 1}, "conc_level=1 outside .* n=256 of n_grid"),
             ({"conc_block": 1}, "conc_block=1 out of range at level 2, n=256 of n_grid"),
             ({"n_grid": (512, 1024)}, "n_grid needs at least 3"),
+            ({"n_grid": (4096, 8192, 16384), "moment_level": 4, "conc_level": 3, "jmax": 3},
+             "moment_level=4 outside the estimator levels 3..3 at n=4096 .*jmax=3"),
         ],
     )
     def test_range_errors_before_any_sample(self, monkeypatch, override, message):
