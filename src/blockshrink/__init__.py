@@ -34,7 +34,6 @@ from .design import (
     linear_tilt_design,
     piecewise_design,
     read_sample_csv,
-    sample_design,
     uniform_design,
     write_sample_csv,
 )

@@ -23,23 +23,25 @@ import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
+_SQRT10 = math.sqrt(10.0)
+_R6 = math.sqrt(5.0 + 2.0 * _SQRT10)
 
 # Two-scale lowpass filters h with sum(h) = sqrt(2); phi is supported on
-# [0, len(h) - 1].  The 4-tap filter is exact in closed form; the 6-tap
-# values are the standard extremal-phase coefficients to double precision.
+# [0, len(h) - 1].  The Daubechies filters are the extremal-phase ones in
+# closed form, so the sum rule and unit norm hold to rounding.
 _FILTERS = {
     "haar": np.array([1.0, 1.0]) / SQRT2,
     "db4": np.array([1.0 + _SQRT3, 3.0 + _SQRT3, 3.0 - _SQRT3, 1.0 - _SQRT3]) / (4.0 * SQRT2),
     "db6": np.array(
         [
-            0.3326705529509569,
-            0.8068915093133388,
-            0.4598775021193313,
-            -0.13501102001039084,
-            -0.08544127388224149,
-            0.035226291882100656,
+            1.0 + _SQRT10 + _R6,
+            5.0 + _SQRT10 + 3.0 * _R6,
+            10.0 - 2.0 * _SQRT10 + 2.0 * _R6,
+            10.0 - 2.0 * _SQRT10 - 2.0 * _R6,
+            5.0 + _SQRT10 - 3.0 * _R6,
+            1.0 + _SQRT10 - _R6,
         ]
-    ),
+    ) / (16.0 * SQRT2),
 }
 
 _ALIASES = {

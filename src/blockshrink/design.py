@@ -162,40 +162,21 @@ class Sample:
             raise ValueError("design points must lie in [0, 1]")
 
 
-def _streams(seed: int):
-    """Two decorrelated generators (design, noise) from one seed."""
-    design_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(design_ss), np.random.default_rng(noise_ss)
-
-
-def sample_design(density: DesignDensity, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws from the density via inverse-CDF transform of uniforms."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rng, _ = _streams(seed)
-    return density.ppf(rng.random(n))
-
-
 def generate_sample(
     f, density: DesignDensity, n: int, seed: int, noiseless: bool = False
 ) -> Sample:
-    """Draw a regression sample y_i = f(x_i) + z_i.
+    """Draw a regression sample y_i = f(x_i) + z_i for a callable f on [0, 1].
 
-    ``f`` is either a callable on [0, 1] or an array of midpoint-grid values
-    (interpolated linearly).  ``noiseless=True`` replaces the Gaussian noise
-    stream by zeros, a hook for oracle tests.
+    The design and the noise come from two decorrelated streams spawned from
+    ``seed``.  ``noiseless=True`` replaces the Gaussian noise stream by zeros,
+    a hook for oracle tests.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    design_rng, noise_rng = _streams(seed)
-    x = density.ppf(design_rng.random(n))
-    if callable(f):
-        fx = np.asarray(f(x), dtype=float)
-    else:
-        vals = np.asarray(f, dtype=float)
-        nodes = (np.arange(len(vals)) + 0.5) / len(vals)
-        fx = np.interp(x, nodes, vals)
-    y = fx if noiseless else fx + noise_rng.standard_normal(n)
+    design_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+    x = density.ppf(np.random.default_rng(design_ss).random(n))
+    fx = np.asarray(f(x), dtype=float)
+    y = fx if noiseless else fx + np.random.default_rng(noise_ss).standard_normal(n)
     return Sample(n=n, x=x, y=np.asarray(y, dtype=float), seed=int(seed))
 
 

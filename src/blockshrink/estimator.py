@@ -126,8 +126,10 @@ def empirical_coefficients(
 ) -> CoefficientTree:
     """Unthresholded reweighted empirical coefficients on the grid's levels.
 
-    The sample is sorted once into canonical (x, y) order before the sums,
-    so permuting it leaves every coefficient bit-identical.
+    For samples read from outside (``fit``): the sample is sorted once into
+    canonical (x, y) order before the sums, so permuting it leaves every
+    coefficient bit-identical.  Seeded replications skip the sort and sum in
+    drawn order (see ``harness._replicate``).
     """
     if sample.n < 1:
         raise ValueError("sample is empty")
@@ -140,28 +142,23 @@ def empirical_coefficients(
 class Estimate:
     """A thresholded coefficient tree plus the decisions that produced it.
 
-    ``threshold`` is the rule's constant and ``cut`` the value it compared
-    against.  ``statistics[i]`` holds the block statistics of the
-    unthresholded level j_low + i, and ``kept[i]`` marks that level's blocks
-    with a surviving coefficient; under the block rule
-    kept == (statistics >= cut) exactly.
+    ``cut`` is the value the rule compared against.  ``statistics[i]`` holds
+    the block statistics of the unthresholded level j_low + i, and
+    ``kept[i]`` marks that level's blocks with a surviving coefficient;
+    under the block rule kept == (statistics >= cut) exactly.
     """
 
     tree: CoefficientTree
     grid: BlockGrid
-    threshold: float
     cut: float
     kept: list
     statistics: list
-    basis: WaveletBasis
 
     def kept_blocks(self, j: int) -> np.ndarray:
         return self.kept[j - self.grid.j_low]
 
 
-def threshold_tree(
-    raw: CoefficientTree, grid: BlockGrid, basis: WaveletBasis, rule: str, constant: float
-) -> Estimate:
+def threshold_tree(raw: CoefficientTree, grid: BlockGrid, rule: str, constant: float) -> Estimate:
     """Apply one thresholding rule to a copy of the unthresholded tree ``raw``.
 
     ``rule="block"`` keeps a detail block iff its statistic (see
@@ -199,10 +196,7 @@ def threshold_tree(
             mask = np.add.reduceat(level != 0.0, starts) > 0
         kept.append(mask)
         statistics.append(stat)
-    return Estimate(
-        tree=tree, grid=grid, threshold=float(constant), cut=cut, kept=kept,
-        statistics=statistics, basis=basis,
-    )
+    return Estimate(tree=tree, grid=grid, cut=cut, kept=kept, statistics=statistics)
 
 
 def blockshrink(
@@ -221,7 +215,7 @@ def blockshrink(
     """
     grid = block_grid(sample.n, p, basis.coarsest_level)
     raw = empirical_coefficients(sample, density, basis, grid)
-    return threshold_tree(raw, grid, basis, "block", threshold)
+    return threshold_tree(raw, grid, "block", threshold)
 
 
 def term_threshold(
@@ -243,4 +237,4 @@ def term_threshold(
         raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
     grid = block_grid(sample.n, p, basis.coarsest_level)
     raw = empirical_coefficients(sample, density, basis, grid)
-    return threshold_tree(raw, grid, basis, mode, c)
+    return threshold_tree(raw, grid, mode, c)

@@ -26,14 +26,7 @@ import numpy as np
 from .basis import check_refine_depth, coarsest_level, make_basis, midpoint_grid, synthesize
 from .besov import ball_from_spec, make_test_function, rate_spec, signal_spec
 from .design import DesignDensity, density_from_spec, generate_sample
-from .estimator import (
-    _coefficient_tree,
-    _weights,
-    block_grid,
-    block_statistics,
-    empirical_coefficients,
-    threshold_tree,
-)
+from .estimator import _coefficient_tree, _weights, block_grid, block_statistics, threshold_tree
 
 _Z95 = 1.959963984540054
 # Largest risk grid: 2^20 midpoints (8 MiB of doubles per evaluated function).
@@ -196,23 +189,38 @@ def _materialize(config: ExperimentConfig):
     return basis, density, signal
 
 
-def _replicate(config: ExperimentConfig, n: int, density, signal, kernel, threads: int) -> list:
-    """``kernel(sample)`` of every replication at n, in replication order on
-    up to ``threads`` workers (at most one per CPU); replication rep draws
-    from its own seed."""
+def _replicate(config: ExperimentConfig, basis, grid, density, signal, kernel,
+               threads: int) -> list:
+    """``kernel(tree)`` of every replication at ``grid.n``, in replication order,
+    on up to ``threads`` workers (at most one per CPU).
+
+    Replication rep draws its sample from its own seed; ``tree`` holds the
+    sample's reweighted coefficient sums on the grid's levels, summed in the
+    order the seed drew the points.  The seed fixes that order, so no sort is
+    needed for results to replay exactly.
+    """
     if threads < 1:
         raise ConfigError(f"threads={threads} must be at least 1")
     workers = min(threads, os.cpu_count() or 1)
 
     def one(rep: int):
-        seed = replication_seed(config.master_seed, n, rep)
-        return kernel(generate_sample(signal.fn, density, n, seed, noiseless=config.noiseless))
+        seed = replication_seed(config.master_seed, grid.n, rep)
+        sample = generate_sample(signal.fn, density, grid.n, seed, noiseless=config.noiseless)
+        return kernel(_coefficient_tree(basis, grid, sample.x, _weights(sample, density)))
 
     reps = range(config.replications)
     if workers == 1:
         return [one(rep) for rep in reps]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, reps))
+
+
+def _check_slope_grid(config: ExperimentConfig) -> None:
+    """A slope is fitted across ``n_grid``, which therefore needs three sizes."""
+    if len(config.n_grid) < 3:
+        raise ConfigError(
+            f"n_grid needs at least 3 sample sizes to fit a slope, got {list(config.n_grid)}"
+        )
 
 
 @dataclass
@@ -245,6 +253,7 @@ def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RiskRepor
     hard/soft baselines, reported descriptively and never gated.
     """
     basis, density, signal = _materialize(config)
+    _check_slope_grid(config)
     ball = ball_from_spec(config.ball)
     rate = rate_spec(ball.s, ball.pi, ball.r, config.p)
     truth = signal.fn(midpoint_grid(config.risk_grid))
@@ -253,21 +262,20 @@ def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RiskRepor
     rules = [("block", config.d)]
     if config.compare_term:
         rules += [("hard", config.term_c), ("soft", config.term_c)]
-    grids = {n: block_grid(n, config.p, basis.coarsest_level) for n in ns}
 
-    def score(sample):
-        grid = grids[sample.n]
-        raw = empirical_coefficients(sample, density, basis, grid)
-        return [
-            lp_risk(
-                synthesize(basis, threshold_tree(raw, grid, basis, rule, c).tree,
-                           config.risk_grid),
-                truth, config.p,
-            )
-            for rule, c in rules
-        ]
+    def risks_at(n):
+        grid = block_grid(n, config.p, basis.coarsest_level)
 
-    risks = {n: np.array(_replicate(config, n, density, signal, score, threads)) for n in ns}
+        def score(tree):
+            return [
+                lp_risk(synthesize(basis, threshold_tree(tree, grid, rule, c).tree,
+                                   config.risk_grid), truth, config.p)
+                for rule, c in rules
+            ]
+
+        return np.array(_replicate(config, basis, grid, density, signal, score, threads))
+
+    risks = {n: risks_at(n) for n in ns}
     means = [float(risks[n][:, 0].mean()) for n in ns]
     errs = [float(risks[n][:, 0].std(ddof=1) / math.sqrt(R)) for n in ns]
     slope, intercept, slope_err = fit_rate(zip(ns, means))
@@ -333,8 +341,6 @@ def _check_diagnose_ranges(config: ExperimentConfig) -> None:
 
     Raises ConfigError naming the config field and the ``n_grid`` entry.
     """
-    if len(config.n_grid) < 3:
-        raise ConfigError("n_grid needs at least 3 sample sizes to fit the moment slope")
     j0 = coarsest_level(config.basis_family)
     for n in config.n_grid:
         grid = block_grid(n, config.p, j0)
@@ -367,11 +373,10 @@ def coefficient_deviations(
     grid = block_grid(n, config.p, basis.coarsest_level)
     levels = range(grid.j_low, min(grid.j_high, signal.tree.jmax) + 1)
 
-    def deviations(sample):
-        tree = _coefficient_tree(basis, grid, sample.x, _weights(sample, density))
+    def deviations(tree):
         return [tree.detail(j) - signal.tree.detail(j) for j in levels]
 
-    rows = _replicate(config, n, density, signal, deviations, threads)
+    rows = _replicate(config, basis, grid, density, signal, deviations, threads)
     return {j: np.array([row[i] for row in rows]) for i, j in enumerate(levels)}
 
 
@@ -473,6 +478,7 @@ def run_diagnostics(
     then every (n, replication) sample is drawn once for both checks.
     """
     basis, density, signal = _materialize(config)
+    _check_slope_grid(config)
     _check_diagnose_ranges(config)
     devs = {
         int(n): coefficient_deviations(config, int(n), basis, density, signal, threads)

@@ -41,6 +41,14 @@ class TestMakeBasis:
         assert abs(db6.lowpass.sum() - SQRT2) <= 1e-12
         assert db6.coarsest_level == 3
 
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    def test_filter_sum_rule_and_unit_norm(self, request, family):
+        """sum h_even = sum h_odd (the highpass filter kills constants) and
+        sum h^2 = 1 (orthonormal translates), both to rounding."""
+        h = request.getfixturevalue(family).lowpass
+        assert abs(h[::2].sum() - h[1::2].sum()) <= 1e-15
+        assert abs(np.dot(h, h) - 1.0) <= 1e-15
+
     def test_db4_refinement_fixed_point(self, db4):
         # phi(x) = sqrt(2) sum_k h_k phi(2x - k) checked on the half grid,
         # where 2x lands exactly on table nodes.

@@ -274,6 +274,16 @@ class TestDispatch:
         assert main(["rates", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_rates_two_sample_sizes_exits_two_before_drawing(self, tmp_path, capsys,
+                                                             monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "generate_sample", lambda *a, **k: calls.append(a))
+        cfg = write_config(tmp_path / "c.json", n_grid=[1024, 2048])
+        assert main(["rates", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "n_grid" in err
+        assert calls == []
+
     def test_diagnose_run(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",

@@ -277,17 +277,15 @@ class TestEmpiricalCoefficients:
     def test_one_point_tree_equals_basis_values(self, request, family, x):
         """At a dyadic point every value the sums read is a table node, where
         the cascade tables obey the two-scale relation up to rounding; 3/16
-        and 11/32 sit on the middle jump of a Haar wavelet at levels 3 and 4.
-        The 16-digit db6 filter misses the sum rule sum h_even = sum h_odd by
-        3e-12, which the cascade compounds to about 2e-11 here."""
+        and 11/32 sit on the middle jump of a Haar wavelet at levels 3 and 4."""
         basis = request.getfixturevalue(family)
         grid = block_grid(4096, 2.0, basis.coarsest_level)
         tree = _coefficient_tree(basis, grid, np.array([x]), np.array([0.7]))
         want = [0.7 * basis.eval("father", grid.j_low, k, x) for k in range(1 << grid.j_low)]
-        np.testing.assert_allclose(tree.alpha, want, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(tree.alpha, want, rtol=0, atol=1e-14)
         for j in grid.levels():
             want = [0.7 * basis.eval("mother", j, k, x) for k in range(1 << j)]
-            np.testing.assert_allclose(tree.detail(j), want, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(tree.detail(j), want, rtol=0, atol=1e-14)
 
     def test_noiseless_consistency_rate(self, haar):
         # finite wavelet polynomial: coefficient RMS error shrinks ~ n^{-1/2}

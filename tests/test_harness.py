@@ -24,6 +24,7 @@ from blockshrink import (
     run_rate_experiment,
     synthesize,
     term_threshold,
+    threshold_tree,
     uniform_design,
     wilson_upper,
 )
@@ -167,8 +168,9 @@ class TestRunRateExperiment:
             ExperimentConfig(risk_grid=10000).validate()
 
     def test_shared_tree_matches_separate_estimators(self):
-        """One coefficient tree per replication gives the risks of the
-        public per-rule estimators run on the same seeded samples."""
+        """The risks are the three rules applied to each seeded sample's tree
+        summed in drawn order; the public per-rule estimators, which sort the
+        sample first, give the same risks up to the order of the sums."""
         config = ExperimentConfig(
             signal={"name": "heavisine"},
             density={"kind": "linear-tilt", "slope": 0.5},
@@ -183,25 +185,30 @@ class TestRunRateExperiment:
         density = linear_tilt_design(0.5)
         sig = make_test_function("heavisine", basis, config.jmax)
         truth = sig.fn(midpoint_grid(config.risk_grid))
+        rules = [("block", config.d), ("hard", config.term_c), ("soft", config.term_c)]
+
+        def risk(tree):
+            return lp_risk(synthesize(basis, tree, config.risk_grid), truth, config.p)
+
         for i, n in enumerate(config.n_grid):
-            risks = np.empty((config.replications, 3))
+            grid = block_grid(n, config.p, basis.coarsest_level)
+            drawn, public = np.empty((2, config.replications, 3))
             for rep in range(config.replications):
                 sample = generate_sample(
                     sig.fn, density, n, replication_seed(config.master_seed, n, rep)
                 )
+                tree = _coefficient_tree(basis, grid, sample.x, _weights(sample, density))
+                drawn[rep] = [risk(threshold_tree(tree, grid, r, c).tree) for r, c in rules]
                 estimates = [
                     blockshrink(sample, density, basis, config.p, config.d),
                     term_threshold(sample, density, basis, "hard", config.term_c, config.p),
                     term_threshold(sample, density, basis, "soft", config.term_c, config.p),
                 ]
-                risks[rep] = [
-                    lp_risk(synthesize(basis, est.tree, config.risk_grid), truth, config.p)
-                    for est in estimates
-                ]
+                public[rep] = [risk(est.tree) for est in estimates]
             row = report.comparison[i]
-            assert report.mean_risk[i] == row["block"] == float(risks[:, 0].mean())
-            assert row["hard"] == float(risks[:, 1].mean())
-            assert row["soft"] == float(risks[:, 2].mean())
+            got = [report.mean_risk[i], row["hard"], row["soft"]]
+            assert got == [float(drawn[:, k].mean()) for k in range(3)] and got[0] == row["block"]
+            np.testing.assert_allclose(got, public.mean(axis=0), rtol=1e-12, atol=0)
 
     def test_ball_gate(self):
         config = ExperimentConfig(ball={"s": 1, "pi": 1, "r": 1})
@@ -415,10 +422,12 @@ class TestReplicate:
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
         config = ExperimentConfig(signal={"name": "doppler"}, n_grid=(256,), replications=50)
-        _, density, signal = harness._materialize(config)
+        basis, density, signal = harness._materialize(config)
+        grid = block_grid(256, config.p, basis.coarsest_level)
 
         def run(threads):
-            return harness._replicate(config, 256, density, signal, lambda s: s.y[0], threads)
+            return harness._replicate(config, basis, grid, density, signal,
+                                      lambda tree: tree.alpha[0], threads)
 
         serial = run(1)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
