@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .basis import make_basis, midpoint_grid, synthesize
-from .design import density_from_spec, read_sample_csv
-from .estimator import blockshrink
+from .design import density_from_spec, read_sample_csv, write_csv
+from .estimator import SampleSizeError, blockshrink
 from .harness import ConfigError, ExperimentConfig, run_diagnostics, run_rate_experiment
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
@@ -57,19 +57,6 @@ def parse_config(path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                    for v in row
-                )
-            )
-            fh.write("\n")
 
 
 class _Manifest:
@@ -112,9 +99,7 @@ def _cmd_basis(args) -> int:
     basis = make_basis(args.family, args.refine_depth)
     path = out_dir / f"basis_{basis.family}.csv"
     xs = basis.table_grid()
-    _write_csv(
-        path, "x,phi,psi", zip(xs, map(float, basis.phi_table), map(float, basis.psi_table))
-    )
+    write_csv(path, "x,phi,psi", xs, basis.phi_table, basis.psi_table)
     manifest.add_output(path)
     manifest.write()
     print(f"wrote {path} ({len(xs)} rows, support [0, {basis.support_length}])")
@@ -129,21 +114,31 @@ def _cmd_fit(args) -> int:
                 "p": args.p, "d": args.d, "grid": args.grid}
     manifest = _Manifest("fit", settings, None, out_dir)
     manifest.add_input(args.input)
-    sample = read_sample_csv(args.input)
+    try:
+        sample = read_sample_csv(args.input)
+    except ValueError as exc:
+        raise ValueError(f"--input: {exc}") from exc
     density = density_from_spec(args.density)
     basis = make_basis(args.basis, args.refine_depth)
-    est = blockshrink(sample, density, basis, args.p, args.d)
+    try:
+        est = blockshrink(sample, density, basis, args.p, args.d)
+    except SampleSizeError as exc:
+        raise ValueError(f"--input: sample file {args.input}: {exc}") from exc
     values = synthesize(basis, est.tree, args.grid)
     est_path = out_dir / "estimate.csv"
-    _write_csv(est_path, "x,fhat", zip(midpoint_grid(args.grid), map(float, values)))
+    write_csv(est_path, "x,fhat", midpoint_grid(args.grid), values)
     manifest.add_output(est_path)
-    rows = [
-        (j, b, float(stat), est.cut, bool(kept))
-        for j, stats, mask in zip(est.grid.levels(), est.statistics, est.kept)
-        for b, (stat, kept) in enumerate(zip(stats, mask))
-    ]
+    counts = [len(stats) for stats in est.statistics]
     blocks_path = out_dir / "blocks.csv"
-    _write_csv(blocks_path, "j,K,statistic,threshold,kept", rows)
+    write_csv(
+        blocks_path,
+        "j,K,statistic,threshold,kept",
+        np.repeat(list(est.grid.levels()), counts),
+        np.concatenate([np.arange(c) for c in counts]),
+        np.concatenate(est.statistics),
+        np.repeat(est.cut, sum(counts)),
+        np.concatenate(est.kept),
+    )
     manifest.add_output(blocks_path)
     manifest.write()
     print(
@@ -172,15 +167,13 @@ def _cmd_rates(args) -> int:
     json_path.write_text(json.dumps(asdict(report), indent=2) + "\n")
     manifest.add_output(json_path)
     csv_path = out_dir / "risks.csv"
-    _write_csv(
+    write_csv(
         csv_path,
         "n,mean_risk,stderr,theory_exponent",
-        zip(
-            report.n_grid,
-            report.mean_risk,
-            report.stderr,
-            [report.theory_risk_exponent] * len(report.n_grid),
-        ),
+        report.n_grid,
+        report.mean_risk,
+        report.stderr,
+        [report.theory_risk_exponent] * len(report.n_grid),
     )
     manifest.add_output(csv_path)
     manifest.write()
@@ -211,10 +204,10 @@ def _cmd_diagnose(args) -> int:
     )
     manifest.add_output(json_path)
     csv_path = out_dir / "concentration.csv"
-    _write_csv(
+    write_csv(
         csv_path,
         "n,frequency,wilson_upper,envelope,median_stat",
-        zip(conc.n_grid, conc.frequency, conc.wilson_upper, conc.envelope, conc.median_stat),
+        conc.n_grid, conc.frequency, conc.wilson_upper, conc.envelope, conc.median_stat,
     )
     manifest.add_output(csv_path)
     manifest.write()

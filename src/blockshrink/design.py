@@ -180,22 +180,43 @@ def generate_sample(
     return Sample(n=n, x=x, y=np.asarray(y, dtype=float), seed=int(seed))
 
 
-def write_sample_csv(path, sample: Sample) -> None:
+# Rows formatted and written per string; bounds the text held in memory.
+_CSV_CHUNK_ROWS = 1024
+
+
+def write_csv(path, header: str, *columns) -> None:
+    """Write equal-length columns as CSV rows under a header line.
+
+    Each cell is the ``repr`` of the value as a Python scalar: floats (numpy
+    or not) round-trip exactly, integers and booleans read as ``str`` would.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y\n")
-        for xv, yv in zip(sample.x, sample.y):
-            fh.write(f"{float(xv)!r},{float(yv)!r}\n")
+        fh.write(header + "\n")
+        for a in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            b = a + _CSV_CHUNK_ROWS
+            cells = [map(repr, np.asarray(col[a:b]).tolist()) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def write_sample_csv(path, sample: Sample) -> None:
+    write_csv(path, "x,y", sample.x, sample.y)
 
 
 def read_sample_csv(path, seed: int = 0) -> Sample:
     """Read the columns named x and y (in any order) of a CSV file with a header row."""
     with open(path, encoding="utf-8") as fh:
         names = [name.strip() for name in fh.readline().split("#")[-1].split(",")]
-        try:
-            cols = (names.index("x"), names.index("y"))
-            x, y = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2).T.copy()
-        except ValueError as exc:
-            raise ValueError(f"sample file {path} needs numeric columns x and y: {exc}") from exc
+    try:
+        cols = (names.index("x"), names.index("y"))
+        # by path, not by the open handle: numpy then parses the file in C
+        x, y = np.loadtxt(
+            path, delimiter=",", skiprows=1, usecols=cols, ndmin=2, encoding="utf-8"
+        ).T.copy()
+    except ValueError as exc:
+        raise ValueError(f"sample file {path} needs numeric columns x and y: {exc}") from exc
     if np.any(~np.isfinite(x)) or np.any(~np.isfinite(y)):
         raise ValueError(f"sample file {path} contains non-numeric entries")
-    return Sample(n=len(x), x=x, y=y, seed=seed)
+    try:
+        return Sample(n=len(x), x=x, y=y, seed=seed)
+    except ValueError as exc:
+        raise ValueError(f"sample file {path}: {exc}") from exc

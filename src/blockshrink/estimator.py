@@ -54,10 +54,14 @@ class BlockGrid:
         return range(self.j_low, self.j_high + 1)
 
 
+class SampleSizeError(ValueError):
+    """The sample size admits no level range: n < 16, or too few levels for the basis."""
+
+
 def block_grid(n: int, p: float, min_level: int = 0) -> BlockGrid:
     """Block geometry for a sample of size n under the l^p rule."""
     if n < 16:
-        raise ValueError(f"n={n} too small (need n >= 16)")
+        raise SampleSizeError(f"n={n} too small (need n >= 16)")
     if not 2 <= p < math.inf:
         raise ValueError(f"p={p} out of range (need finite p >= 2)")
     ln_n = math.log(n)
@@ -68,7 +72,7 @@ def block_grid(n: int, p: float, min_level: int = 0) -> BlockGrid:
     j_low = int(math.floor((p / 2.0) * math.log2(ln_n)))
     j_high = int(math.floor(0.5 * math.log2(n / ln_n)))
     if j_high < min_level:
-        raise ValueError(
+        raise SampleSizeError(
             f"n={n} too small for this basis: finest usable level {j_high} lies "
             f"below the coarsest periodized level {min_level}"
         )
@@ -127,15 +131,27 @@ def empirical_coefficients(
     """Unthresholded reweighted empirical coefficients on the grid's levels.
 
     For samples read from outside (``fit``): the sample is sorted once into
-    canonical (x, y) order before the sums, so permuting it leaves every
-    coefficient bit-identical.  Seeded replications skip the sort and sum in
-    drawn order (see ``harness._replicate``).
+    canonical (x, y) order before the sums (see ``_canonical_order``), so
+    permuting it leaves every coefficient bit-identical.  Seeded replications
+    skip the sort and sum in drawn order (see ``harness._replicate``).
     """
     if sample.n < 1:
         raise ValueError("sample is empty")
-    order = np.lexsort((sample.y, sample.x))
+    order, xs = _canonical_order(sample.x, sample.y)
     w = _weights(sample, density)
-    return _coefficient_tree(basis, grid, sample.x[order], w[order])
+    return _coefficient_tree(basis, grid, xs, w[order])
+
+
+def _canonical_order(x, y):
+    """The permutation that sorts the pairs (x_i, y_i) by x, then by y, and x
+    in that order.  With no tie in x the order by x alone is already unique,
+    so the cheaper one-key sort serves; only a tie needs the two-key sort."""
+    order = np.argsort(x)
+    xs = x[order]
+    if np.any(xs[1:] == xs[:-1]):
+        order = np.lexsort((y, x))
+        xs = x[order]
+    return order, xs
 
 
 @dataclass(eq=False)

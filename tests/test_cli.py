@@ -21,6 +21,7 @@ from blockshrink import (
 )
 from blockshrink import cli, harness
 from blockshrink.cli import ConfigError, main, parse_config
+from blockshrink.design import write_csv
 
 
 def write_config(path, **overrides):
@@ -399,3 +400,67 @@ def test_bad_p_or_d_exits_two_naming_it(tmp_path, capsys, command, extra, field)
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+
+
+# Each row: the sample CSV text, a fragment the message must hold, and an id.
+_BAD_INPUT = [
+    ("x,y\n", "n=0 too small", "fit-input-header-only"),
+    ("x,y\n0.1,1.0\n0.2,2.0\n", "n=2 too small", "fit-input-n-2"),
+    ("x,y\n" + "0.5,1.0\n" * 20 + "1.5,2.0\n", "must lie in [0, 1]", "fit-input-x-outside"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,fragment", [pytest.param(t, f, id=name) for t, f, name in _BAD_INPUT]
+)
+def test_bad_fit_input_exits_two_naming_it(tmp_path, capsys, text, fragment):
+    csv = tmp_path / "sample.csv"
+    csv.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt on a header-only file
+        code = main(["fit", "--input", str(csv), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--input" in err and str(csv) in err and fragment in err
+    assert "Traceback" not in err
+
+
+def _write_rows_oracle(path, header, rows):
+    """The row-at-a-time writer that write_csv replaced: its byte oracle."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(
+                ",".join(
+                    repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                    for v in row
+                )
+            )
+            fh.write("\n")
+
+
+def test_write_csv_matches_row_writer(tmp_path):
+    # 2500 rows: two full chunks of rows and a partial one
+    n = 2500
+    rng = np.random.default_rng(13)
+    specials = [-0.0, 5e-324, 1e300, 0.1, -1e-300, 1.0, 0.0]
+    floats = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
+    floats[: len(specials)] = specials
+    columns = (
+        list(range(-5, n - 5)),                            # Python int
+        np.arange(n, dtype=np.int64) * 7,                  # numpy int
+        [bool(v) for v in rng.random(n) < 0.5],            # Python bool
+        rng.random(n) < 0.5,                               # numpy bool
+        floats,                                            # numpy float64 array
+        [np.float64(v) for v in floats[::-1]],             # numpy float64 scalars
+        [float(v) for v in np.roll(floats, 3)],            # Python float
+        [0.1] * n,
+    )
+    header = "a,b,c,d,e,f,g,h"
+    write_csv(tmp_path / "columns.csv", header, *columns)
+    _write_rows_oracle(tmp_path / "rows.csv", header, zip(*columns))
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    for m in (0, 1, 1024):
+        write_csv(tmp_path / "columns.csv", header, *(col[:m] for col in columns))
+        _write_rows_oracle(tmp_path / "rows.csv", header, zip(*(col[:m] for col in columns)))
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

@@ -27,7 +27,7 @@ from blockshrink import (
     uniform_design,
 )
 from blockshrink.basis import _level_sums
-from blockshrink.estimator import _coefficient_tree
+from blockshrink.estimator import _canonical_order, _coefficient_tree
 
 # Largest |pyramid - direct sums| per unit of sum_i |w_i| that the oracle
 # property allows.  Haar's pyramid and direct sums differ only by rounding.
@@ -228,6 +228,35 @@ class TestEmpiricalCoefficients:
             assert np.array_equal(t1.alpha, t2.alpha)
             for j in grid.levels():
                 assert np.array_equal(t1.detail(j), t2.detail(j))
+
+    def test_permutation_bit_identical_with_ties(self, haar, db4, db6):
+        # x on a 0.01 grid, so almost every x is tied, plus exact duplicate
+        # (x, y) rows: an order by x alone would leave the tied y unordered
+        rng = np.random.default_rng(11)
+        n = 4096
+        x = np.round(rng.random(n), 2)
+        y = rng.normal(size=n)
+        x[:64], y[:64] = x[64:128], y[64:128]
+        perm = rng.permutation(n)
+        density = uniform_design()
+        for basis in (haar, db4, db6):
+            grid = block_grid(n, 2.0, basis.coarsest_level)
+            t1 = empirical_coefficients(Sample(n, x, y, 0), density, basis, grid)
+            t2 = empirical_coefficients(Sample(n, x[perm], y[perm], 0), density, basis, grid)
+            assert np.array_equal(t1.alpha, t2.alpha)
+            for j in grid.levels():
+                assert np.array_equal(t1.detail(j), t2.detail(j))
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct-x", "tied-x"])
+    def test_canonical_order_is_lexsort(self, tied):
+        rng = np.random.default_rng(12)
+        x = rng.random(4096)
+        y = rng.normal(size=4096)
+        if tied:
+            x = np.round(x, 2)
+        order, xs = _canonical_order(x, y)
+        assert np.array_equal(order, np.lexsort((y, x)))
+        assert np.array_equal(xs, x[order])
 
     def test_density_escaping_bounds_detected(self, haar):
         class BrokenDensity:
