@@ -35,7 +35,6 @@ from .design import (
     piecewise_design,
     read_sample_csv,
     uniform_design,
-    write_sample_csv,
 )
 from .estimator import (
     BlockGrid,
@@ -45,7 +44,6 @@ from .estimator import (
     block_statistics,
     blockshrink,
     empirical_coefficients,
-    term_threshold,
     threshold_tree,
 )
 from .harness import (

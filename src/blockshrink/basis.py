@@ -94,15 +94,8 @@ def _refine(values: np.ndarray, h: np.ndarray, level: int) -> np.ndarray:
     return out
 
 
-def _highpass(h: np.ndarray) -> np.ndarray:
-    """Quadrature mirror filter g_k = (-1)^k h[n-1-k] of the lowpass h."""
-    n = len(h)
-    return np.array([(-1) ** k * h[n - 1 - k] for k in range(n)])
-
-
-def _wavelet_table(phi: np.ndarray, h: np.ndarray, depth: int) -> np.ndarray:
+def _wavelet_table(phi: np.ndarray, g: np.ndarray, depth: int) -> np.ndarray:
     """Wavelet values on the phi grid via psi(t) = sqrt(2) sum_k g_k phi(2t - k)."""
-    g = _highpass(h)
     size = len(phi)
     out = np.zeros(size)
     scale = 1 << depth
@@ -120,15 +113,20 @@ class WaveletBasis:
 
     ``coarsest_level`` is the smallest level j at which the 2^j periodized
     translates form a genuine orthonormal family (2^j >= support_length).
+    ``filters`` stacks the lowpass filter h over its highpass mirror g.
     """
 
     family: str
-    lowpass: np.ndarray
+    filters: np.ndarray
     support_length: int
     coarsest_level: int
     refine_depth: int
     phi_table: np.ndarray
     psi_table: np.ndarray
+
+    @property
+    def lowpass(self) -> np.ndarray:
+        return self.filters[0]
 
     def table_grid(self) -> np.ndarray:
         """Abscissae of the tables: 0 .. support_length, step 2^-refine_depth."""
@@ -181,16 +179,22 @@ def coarsest_level(family: str) -> int:
     return (len(_FILTERS[key]) - 2).bit_length()
 
 
-def check_refine_depth(refine_depth: int) -> None:
-    """Raise ValueError unless the cascade depth lies in 8..20.
+_MIN_DEPTH = {"haar": 8, "db4": 12, "db6": 10}
 
-    Below depth 8 the tables fail the construction-time orthonormality
-    check; above 20 the table (about 3 * 2^depth doubles) outgrows memory.
+
+def check_refine_depth(family: str, refine_depth: int) -> None:
+    """Raise ValueError unless the cascade depth lies in the family's floor..20.
+
+    Below the floor (8 for haar, 12 for db4, 10 for db6) the tables fail the
+    construction-time orthonormality check; above 20 the table (about
+    3 * 2^depth doubles) outgrows memory.  An unknown family raises too.
     """
-    if not 8 <= refine_depth <= 20:
+    coarsest_level(family)
+    key = _ALIASES[str(family).lower()]
+    if not _MIN_DEPTH[key] <= refine_depth <= 20:
         raise ValueError(
-            f"refine_depth={refine_depth} out of range: tabulation below depth 8 "
-            "fails the orthonormality tolerance, and above 20 its table outgrows memory"
+            f"refine_depth={refine_depth} out of range for {key}: need {_MIN_DEPTH[key]}..20, "
+            "since shallower tables fail the orthonormality check and deeper ones outgrow memory"
         )
 
 
@@ -200,10 +204,10 @@ def make_basis(family: str, refine_depth: int = 12) -> WaveletBasis:
     Raises ValueError for an unknown family or a depth outside
     ``check_refine_depth``'s range.
     """
-    tau = coarsest_level(family)
+    check_refine_depth(family, refine_depth)
     key = _ALIASES[str(family).lower()]
-    check_refine_depth(refine_depth)
     h = _FILTERS[key].copy()
+    g = (-1.0) ** np.arange(len(h)) * h[::-1]  # the quadrature mirror g_k = (-1)^k h_{n-1-k}
     if key == "haar":  # its transfer matrix is the identity: phi in closed form
         phi = np.append(np.ones(1 << refine_depth), 0.0)
     else:
@@ -212,12 +216,12 @@ def make_basis(family: str, refine_depth: int = 12) -> WaveletBasis:
             phi = _refine(phi, h, lvl)
     basis = WaveletBasis(
         family=key,
-        lowpass=h,
+        filters=np.stack([h, g]),
         support_length=len(h) - 1,
-        coarsest_level=tau,
+        coarsest_level=coarsest_level(key),
         refine_depth=refine_depth,
         phi_table=phi,
-        psi_table=_wavelet_table(phi, h, refine_depth),
+        psi_table=_wavelet_table(phi, g, refine_depth),
     )
     _validate_basis(basis)
     return basis
@@ -315,27 +319,18 @@ def _level_terms(basis: WaveletBasis, kind: str, j: int, x: np.ndarray):
     return idx, val
 
 
-def _level_sums(
-    basis: WaveletBasis, kind: str, j: int, x: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Per-translate weighted sums sum_i w_i f_{j,k}(x_i) for k = 0 .. 2^j - 1.
-
-    Each sum accumulates its terms in input order, so the result depends on
-    the order of ``x`` only through floating-point rounding.
-    """
-    idx, val = _level_terms(basis, kind, j, x)
-    return np.bincount(idx.ravel(), weights=(val * weights).ravel(), minlength=1 << j)
-
-
-def evaluate_tree(basis: WaveletBasis, tree: CoefficientTree, x) -> np.ndarray:
-    """Evaluate the finite wavelet series of ``tree`` at arbitrary points."""
-    x = np.mod(np.asarray(x, dtype=float), 1.0)
-    idx, val = _level_terms(basis, "father", tree.j0, x)
-    out = np.einsum("mi,mi->i", tree.alpha[idx], val)
-    for i, b in enumerate(tree.beta):
-        idx, val = _level_terms(basis, "mother", tree.j0 + i, x)
-        out += np.einsum("mi,mi->i", b[idx], val)
-    return out
+def _coefficient_tree(basis: WaveletBasis, j0: int, jmax: int, x, w) -> CoefficientTree:
+    """Tree of the weighted sums sum_i w_i f_{j,k}(x_i) on levels j0 .. jmax:
+    the scaling sums at level jmax + 1, then one analysis step per level down
+    to j0.  The sums follow the order of ``x``, so the result depends on that
+    order only through floating-point rounding."""
+    idx, val = _level_terms(basis, "father", jmax + 1, x)
+    alpha = np.bincount(idx.ravel(), weights=(val * w).ravel(), minlength=1 << (jmax + 1))
+    beta = []
+    for _ in range(j0, jmax + 1):
+        alpha, detail = _forward_step(basis, alpha)
+        beta.insert(0, detail)
+    return CoefficientTree(j0=j0, jmax=jmax, alpha=alpha, beta=beta)
 
 
 def _inverse_step(basis: WaveletBasis, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -348,7 +343,7 @@ def _inverse_step(basis: WaveletBasis, alpha: np.ndarray, beta: np.ndarray) -> n
     dim = 2 * len(alpha)
     even = np.arange(0, dim, 2)
     out = np.zeros(dim)
-    for m, (hm, gm) in enumerate(zip(basis.lowpass, _highpass(basis.lowpass))):
+    for m, (hm, gm) in enumerate(basis.filters.T):
         out[(even + m) % dim] += hm * alpha + gm * beta
     return out
 
@@ -358,19 +353,36 @@ def _forward_step(basis: WaveletBasis, scaling: np.ndarray):
     level-(j + 1) scaling coefficients a to the level-j alpha_k = sum_m h_m
     a_{2k+m} and beta_k = sum_m g_m a_{2k+m}, with 2k + m wrapped mod 2^(j+1)."""
     dim = len(scaling)
-    taps = scaling[(np.arange(0, dim, 2) + np.arange(len(basis.lowpass))[:, None]) % dim]
-    filters = np.stack([basis.lowpass, _highpass(basis.lowpass)])
-    return (filters[:, :, None] * taps).sum(axis=1)
+    taps = scaling[(np.arange(0, dim, 2) + np.arange(basis.filters.shape[1])[:, None]) % dim]
+    return (basis.filters[:, :, None] * taps).sum(axis=1)
+
+
+def _lift(basis: WaveletBasis, tree: CoefficientTree):
+    """The inverse periodic DWT of ``tree``: its top level J = jmax + 1 (j0
+    when the tree has no detail levels) and the 2^J scaling coefficients
+    there, whose father series equals the tree's series."""
+    alpha = tree.alpha
+    for b in tree.beta:
+        alpha = _inverse_step(basis, alpha, b)
+    return tree.j0 + len(tree.beta), alpha
+
+
+def evaluate_tree(basis: WaveletBasis, tree: CoefficientTree, x) -> np.ndarray:
+    """Evaluate the finite wavelet series of ``tree`` at arbitrary points:
+    lift it to its top level, then evaluate that level's scaling translates."""
+    x = np.mod(np.asarray(x, dtype=float), 1.0)
+    top, alpha = _lift(basis, tree)
+    idx, val = _level_terms(basis, "father", top, x)
+    return np.einsum("mi,mi->i", alpha[idx], val)
 
 
 def synthesize(basis: WaveletBasis, tree: CoefficientTree, grid_size: int) -> np.ndarray:
     """Values of the wavelet series on the midpoint grid of ``grid_size`` points.
 
-    The inverse periodic DWT lifts the tree to scaling coefficients at level
-    J = jmax + 1 (j0 when the tree has no detail levels); one evaluation of
-    the level-J scaling translates on the midpoints then gives the values.
-    ``grid_size`` must be a power of two, so no midpoint lands on a level-J
-    breakpoint and, for a deep enough table, every point is a table node.
+    As ``evaluate_tree``, on the grid: the tree is lifted to its top level J
+    and the level-J scaling translates are evaluated once.  ``grid_size``
+    must be a power of two, so no midpoint lands on a level-J breakpoint
+    and, for a deep enough table, every point is a table node.
     """
     if grid_size < 1 or grid_size & (grid_size - 1):
         raise ValueError(f"grid_size={grid_size} must be a power of two")
@@ -378,12 +390,9 @@ def synthesize(basis: WaveletBasis, tree: CoefficientTree, grid_size: int) -> np
         raise ValueError(
             f"grid_size={grid_size} cannot resolve levels up to {tree.jmax}"
         )
-    alpha = tree.alpha
-    for b in tree.beta:
-        alpha = _inverse_step(basis, alpha, b)
+    top, alpha = _lift(basis, tree)
     # Every level-J cell holds the same midpoint offsets, so the values of
     # the first cell serve all of them: cell c sees translate (c - m) mod 2^J.
-    top = tree.j0 + len(tree.beta)
     _, val = _level_terms(basis, "father", top, midpoint_grid(grid_size)[: grid_size >> top])
     return sum(np.outer(np.roll(alpha, m), v) for m, v in enumerate(val)).ravel()
 
@@ -395,7 +404,9 @@ def exact_coefficients(
 
     Serves as the ground-truth oracle for the regression estimators: each
     coefficient is the periodic trapezoid approximation of the integral of
-    f against the corresponding basis function.
+    f against the corresponding basis function, computed as the estimator's
+    sums are, with the grid midpoints as points and values / len(values) as
+    weights.
     """
     values = np.asarray(values, dtype=float)
     if not basis.coarsest_level <= j0 <= max(jmax, j0):
@@ -405,11 +416,7 @@ def exact_coefficients(
             f"grid of {len(values)} points cannot resolve coefficients to level {jmax}"
         )
     grid = len(values)
-    x = midpoint_grid(grid)
-    w = values / grid
-    alpha = _level_sums(basis, "father", j0, x, w)
-    beta = [_level_sums(basis, "mother", j, x, w) for j in range(j0, jmax + 1)]
-    return CoefficientTree(j0=j0, jmax=jmax, alpha=alpha, beta=beta)
+    return _coefficient_tree(basis, j0, jmax, midpoint_grid(grid), values / grid)
 
 
 def concentration_ratio(basis: WaveletBasis, j: int, m: float, grid_size: int) -> float:

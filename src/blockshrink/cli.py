@@ -24,7 +24,8 @@ from . import __version__
 from .basis import make_basis, midpoint_grid, synthesize
 from .design import density_from_spec, read_sample_csv, write_csv
 from .estimator import SampleSizeError, blockshrink
-from .harness import ConfigError, ExperimentConfig, run_diagnostics, run_rate_experiment
+from .harness import (_MAX_RISK_GRID, ConfigError, ExperimentConfig, run_diagnostics,
+                      run_rate_experiment)
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
@@ -95,8 +96,8 @@ class _Manifest:
 def _cmd_basis(args) -> int:
     out_dir = Path(args.out_dir)
     settings = {"family": args.family, "refine_depth": args.refine_depth}
-    manifest = _Manifest("basis", settings, None, out_dir)
     basis = make_basis(args.family, args.refine_depth)
+    manifest = _Manifest("basis", settings, None, out_dir)
     path = out_dir / f"basis_{basis.family}.csv"
     xs = basis.table_grid()
     write_csv(path, "x,phi,psi", xs, basis.phi_table, basis.psi_table)
@@ -107,8 +108,9 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if args.grid < 1 or args.grid & (args.grid - 1):
-        raise ConfigError(f"--grid={args.grid} must be a power of two")
+    if not 1 <= args.grid <= _MAX_RISK_GRID or args.grid & (args.grid - 1):
+        raise ConfigError(f"--grid={args.grid} must be a power of two up to {_MAX_RISK_GRID}")
+    basis = make_basis(args.basis, args.refine_depth)
     out_dir = Path(args.out_dir)
     settings = {"input": str(args.input), "density": args.density, "basis": args.basis,
                 "p": args.p, "d": args.d, "grid": args.grid}
@@ -119,12 +121,14 @@ def _cmd_fit(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--input: {exc}") from exc
     density = density_from_spec(args.density)
-    basis = make_basis(args.basis, args.refine_depth)
     try:
         est = blockshrink(sample, density, basis, args.p, args.d)
     except SampleSizeError as exc:
         raise ValueError(f"--input: sample file {args.input}: {exc}") from exc
-    values = synthesize(basis, est.tree, args.grid)
+    try:
+        values = synthesize(basis, est.tree, args.grid)
+    except ValueError as exc:
+        raise ValueError(f"--grid: {exc}") from exc
     est_path = out_dir / "estimate.csv"
     write_csv(est_path, "x,fhat", midpoint_grid(args.grid), values)
     manifest.add_output(est_path)

@@ -8,6 +8,7 @@ CDFs so that sampling is a deterministic transform of seeded uniforms.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,20 +199,28 @@ def write_csv(path, header: str, *columns) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def write_sample_csv(path, sample: Sample) -> None:
-    write_csv(path, "x,y", sample.x, sample.y)
-
-
 def read_sample_csv(path, seed: int = 0) -> Sample:
-    """Read the columns named x and y (in any order) of a CSV file with a header row."""
-    with open(path, encoding="utf-8") as fh:
-        names = [name.strip() for name in fh.readline().split("#")[-1].split(",")]
+    """Read the columns named x and y (in any order) of a CSV file with a header row.
+
+    A UTF-8 byte-order mark before the header is skipped.  Raises ValueError
+    quoting the header when it names no x or no y column.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        header = fh.readline().rstrip("\r\n")
+    names = [name.strip() for name in header.split("#")[-1].split(",")]
+    if "x" not in names or "y" not in names:
+        raise ValueError(
+            f"sample file {path} needs a header naming columns x and y, read {header!r}"
+        )
     try:
-        cols = (names.index("x"), names.index("y"))
-        # by path, not by the open handle: numpy then parses the file in C
-        x, y = np.loadtxt(
-            path, delimiter=",", skiprows=1, usecols=cols, ndmin=2, encoding="utf-8"
-        ).T.copy()
+        with warnings.catch_warnings():
+            # a file with no data rows is a sample of size 0, which the caller rejects
+            warnings.simplefilter("ignore", UserWarning)
+            # by path, not by the open handle: numpy then parses the file in C
+            x, y = np.loadtxt(
+                path, delimiter=",", skiprows=1, usecols=(names.index("x"), names.index("y")),
+                ndmin=2, encoding="utf-8",
+            ).T.copy()
     except ValueError as exc:
         raise ValueError(f"sample file {path} needs numeric columns x and y: {exc}") from exc
     if np.any(~np.isfinite(x)) or np.any(~np.isfinite(y)):

@@ -6,7 +6,8 @@ selected by the sample size, all from scaling sums one level above the finest
 and the periodic analysis filter bank.  Whole blocks of detail coefficients are
 kept or killed by comparing the block's normalized l^p mean against
 threshold / sqrt(n); scaling coefficients at the coarse level are always kept.
-Classical term-by-term hard/soft thresholding is provided as a baseline.
+Classical term-by-term hard/soft thresholding of the same tree
+(``threshold_tree``) is provided as a baseline.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CoefficientTree, WaveletBasis, _forward_step, _level_sums
+from .basis import CoefficientTree, WaveletBasis, _coefficient_tree
 from .design import DesignDensity, Sample
 
 
@@ -113,18 +114,6 @@ def _weights(sample: Sample, density: DesignDensity) -> np.ndarray:
     return sample.y / (g * sample.n)
 
 
-def _coefficient_tree(basis: WaveletBasis, grid: BlockGrid, x, w) -> CoefficientTree:
-    """Tree of the weighted sums sum_i w_i f_{j,k}(x_i) on the grid's levels:
-    the scaling sums at level j_high + 1, then one analysis step per level
-    down to j_low.  The sums follow the order of ``x``."""
-    alpha = _level_sums(basis, "father", grid.j_high + 1, x, w)
-    beta = []
-    for _ in grid.levels():
-        alpha, detail = _forward_step(basis, alpha)
-        beta.insert(0, detail)
-    return CoefficientTree(j0=grid.j_low, jmax=grid.j_high, alpha=alpha, beta=beta)
-
-
 def empirical_coefficients(
     sample: Sample, density: DesignDensity, basis: WaveletBasis, grid: BlockGrid
 ) -> CoefficientTree:
@@ -139,7 +128,7 @@ def empirical_coefficients(
         raise ValueError("sample is empty")
     order, xs = _canonical_order(sample.x, sample.y)
     w = _weights(sample, density)
-    return _coefficient_tree(basis, grid, xs, w[order])
+    return _coefficient_tree(basis, grid.j_low, grid.j_high, xs, w[order])
 
 
 def _canonical_order(x, y):
@@ -169,9 +158,6 @@ class Estimate:
     cut: float
     kept: list
     statistics: list
-
-    def kept_blocks(self, j: int) -> np.ndarray:
-        return self.kept[j - self.grid.j_low]
 
 
 def threshold_tree(raw: CoefficientTree, grid: BlockGrid, rule: str, constant: float) -> Estimate:
@@ -232,25 +218,3 @@ def blockshrink(
     grid = block_grid(sample.n, p, basis.coarsest_level)
     raw = empirical_coefficients(sample, density, basis, grid)
     return threshold_tree(raw, grid, "block", threshold)
-
-
-def term_threshold(
-    sample: Sample,
-    density: DesignDensity,
-    basis: WaveletBasis,
-    mode: str = "hard",
-    c: float = 2.0,
-    p: float = 2.0,
-) -> Estimate:
-    """Baseline term-by-term estimator at threshold c * sqrt(ln n / n).
-
-    Hard keeps a coefficient iff its magnitude reaches the threshold; soft
-    additionally shrinks survivors toward zero by the threshold.  Levels and
-    scaling-coefficient handling match the block estimator; the stored kept
-    mask marks blocks containing at least one surviving coefficient.
-    """
-    if mode not in ("hard", "soft"):
-        raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
-    grid = block_grid(sample.n, p, basis.coarsest_level)
-    raw = empirical_coefficients(sample, density, basis, grid)
-    return threshold_tree(raw, grid, mode, c)

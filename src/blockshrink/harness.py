@@ -23,10 +23,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import check_refine_depth, coarsest_level, make_basis, midpoint_grid, synthesize
+from .basis import (_coefficient_tree, check_refine_depth, coarsest_level, make_basis,
+                    midpoint_grid, synthesize)
 from .besov import ball_from_spec, make_test_function, rate_spec, signal_spec
 from .design import DesignDensity, density_from_spec, generate_sample
-from .estimator import _coefficient_tree, _weights, block_grid, block_statistics, threshold_tree
+from .estimator import _weights, block_grid, block_statistics, threshold_tree
 
 _Z95 = 1.959963984540054
 # Largest risk grid: 2^20 midpoints (8 MiB of doubles per evaluated function).
@@ -113,11 +114,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"risk_grid={self.risk_grid} must be a power of two from 1024 to {_MAX_RISK_GRID}"
             )
-        check_refine_depth(self.refine_depth)
         try:
             j0 = coarsest_level(self.basis_family)
         except ValueError as exc:
             raise ValueError(f"basis_family: {exc}") from exc
+        check_refine_depth(self.basis_family, self.refine_depth)
         with warnings.catch_warnings():
             # p and each n must give a block geometry; clamping is the run's to report
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -206,7 +207,8 @@ def _replicate(config: ExperimentConfig, basis, grid, density, signal, kernel,
     def one(rep: int):
         seed = replication_seed(config.master_seed, grid.n, rep)
         sample = generate_sample(signal.fn, density, grid.n, seed, noiseless=config.noiseless)
-        return kernel(_coefficient_tree(basis, grid, sample.x, _weights(sample, density)))
+        w = _weights(sample, density)
+        return kernel(_coefficient_tree(basis, grid.j_low, grid.j_high, sample.x, w))
 
     reps = range(config.replications)
     if workers == 1:

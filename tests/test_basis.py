@@ -16,6 +16,7 @@ from blockshrink import (
     synthesize,
 )
 from blockshrink.basis import _level_terms
+from oracles import direct_coefficients, direct_evaluate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -68,6 +69,14 @@ class TestMakeBasis:
     def test_degenerate_depth(self):
         with pytest.raises(ValueError, match="refine_depth"):
             make_basis("haar", 2)
+
+    @pytest.mark.parametrize("family,floor", [("haar", 8), ("db4", 12), ("db6", 10)])
+    def test_depth_floor_per_family(self, family, floor):
+        """The shallowest depth whose tables pass the orthonormality check
+        builds; one level shallower is refused naming refine_depth."""
+        assert make_basis(family, floor).refine_depth == floor
+        with pytest.raises(ValueError, match=f"refine_depth={floor - 1} out of range for"):
+            make_basis(family, floor - 1)
 
     def test_depth_capped(self):
         # the cascade table holds about 3 * 2^depth doubles
@@ -202,6 +211,22 @@ class TestExactCoefficients:
         with pytest.raises(ValueError, match="cannot resolve"):
             exact_coefficients(haar, np.ones(1 << 10), 0, 8)
 
+    @pytest.mark.parametrize("name", ["heavisine", "doppler"])
+    @pytest.mark.parametrize("family,tol", [("haar", 1e-14), ("db4", 5e-7), ("db6", 1e-14)])
+    def test_matches_direct_truth(self, request, family, tol, name):
+        """The filter-bank truth against level-by-level mother sums.  Haar and
+        db6 agree to rounding; the db4 direct sums read the level-2 tables
+        between nodes (4x on a 2^14 grid), where linear interpolation errs by
+        up to about 2e-7, while the filter bank reads nodes only."""
+        basis = request.getfixturevalue(family)
+        values = make_test_function(name, basis, jmax=8).fn(midpoint_grid(1 << 14))
+        j0 = basis.coarsest_level
+        fast = exact_coefficients(basis, values, j0, 8)
+        direct = direct_coefficients(basis, values, j0, 8)
+        np.testing.assert_allclose(fast.alpha, direct.alpha, rtol=0, atol=tol)
+        for a, b in zip(fast.beta, direct.beta):
+            np.testing.assert_allclose(a, b, rtol=0, atol=tol)
+
 
 class TestSynthesize:
     def test_constant_tree(self, haar):
@@ -256,12 +281,42 @@ class TestSynthesize:
         )
         grid = 1 << gridexp
         fast = synthesize(basis, tree, grid)
-        direct = evaluate_tree(basis, tree, midpoint_grid(grid))
+        direct = direct_evaluate(basis, tree, midpoint_grid(grid))
         assert np.max(np.abs(fast - direct)) <= tol
         coarse = CoefficientTree(j0, j0 - 1, tree.alpha, [])
         assert np.max(np.abs(
-            synthesize(basis, coarse, grid) - evaluate_tree(basis, coarse, midpoint_grid(grid))
+            synthesize(basis, coarse, grid) - direct_evaluate(basis, coarse, midpoint_grid(grid))
         )) <= tol
+
+
+class TestEvaluateTree:
+    @pytest.mark.parametrize("family", ["db4", "db6"])
+    def test_lifted_closer_to_deep_table_than_direct(self, request, family):
+        """At random points, the lifted depth-12 series is at least as close to
+        a depth-16 level-by-level evaluation as the depth-12 level-by-level
+        evaluation is: the top father level reads its table on a grid
+        2^(jmax+1-j) times finer than level j's mother terms do."""
+        basis = request.getfixturevalue(family)
+        deep = make_basis(family, 16)
+        tree = make_test_function(
+            {"random_besov": {"s": 2, "pi": 2, "seed": 1}}, basis, jmax=8
+        ).tree
+        x = np.random.default_rng(5).random(4096)
+        reference = direct_evaluate(deep, tree, x)
+        lifted = np.max(np.abs(evaluate_tree(basis, tree, x) - reference))
+        direct = np.max(np.abs(direct_evaluate(basis, tree, x) - reference))
+        assert lifted <= direct
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    def test_matches_synthesize_on_the_grid(self, request, family):
+        basis = request.getfixturevalue(family)
+        tree = make_test_function(
+            {"random_besov": {"s": 2, "pi": 2, "seed": 1}}, basis, jmax=8
+        ).tree
+        x = midpoint_grid(1 << 12)
+        np.testing.assert_allclose(
+            evaluate_tree(basis, tree, x), synthesize(basis, tree, 1 << 12), rtol=0, atol=1e-14
+        )
 
 
 class TestRoundTrip:
@@ -287,7 +342,6 @@ class TestRoundTrip:
         for a, b in zip(t1.beta, t0.beta):
             assert np.abs(a - b).max() < 1e-6
 
-    @pytest.mark.slow
     def test_db4_full_depth_tree(self):
         basis = make_basis("db4", 16)
         rng = np.random.default_rng(13)

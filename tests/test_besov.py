@@ -190,6 +190,6 @@ class TestMakeTestFunction:
     def test_values_match_tree_synthesis(self, haar):
         tf = make_test_function({"random_besov": {"s": 2, "pi": 2, "seed": 1}}, haar, jmax=6)
         x = midpoint_grid(4096)
-        from blockshrink import evaluate_tree
+        from oracles import direct_evaluate
 
-        assert np.allclose(tf.fn(x), evaluate_tree(haar, tf.tree, x))
+        assert np.allclose(tf.fn(x), direct_evaluate(haar, tf.tree, x))

@@ -17,11 +17,15 @@ from blockshrink import (
     make_basis,
     make_test_function,
     uniform_design,
-    write_sample_csv,
 )
 from blockshrink import cli, harness
 from blockshrink.cli import ConfigError, main, parse_config
 from blockshrink.design import write_csv
+
+
+def _write_sample(path):
+    sample = generate_sample(np.sin, uniform_design(), 1024, seed=9)
+    write_csv(path, "x,y", sample.x, sample.y)
 
 
 def write_config(path, **overrides):
@@ -228,7 +232,7 @@ class TestDispatch:
         sig = make_test_function("heavisine", basis, jmax=8)
         sample = generate_sample(sig.fn, uniform_design(), 1024, seed=9)
         csv = tmp_path / "sample.csv"
-        write_sample_csv(csv, sample)
+        write_csv(csv, "x,y", sample.x, sample.y)
         out = tmp_path / "fit"
         code = main(
             ["fit", "--input", str(csv), "--density", "uniform", "--p", "2",
@@ -247,7 +251,7 @@ class TestDispatch:
 
     def test_fit_rejects_non_dyadic_grid(self, tmp_path, capsys):
         csv = tmp_path / "sample.csv"
-        write_sample_csv(csv, generate_sample(np.sin, uniform_design(), 1024, seed=9))
+        _write_sample(csv)
         code = main(["fit", "--input", str(csv), "--grid", "10000", "--out-dir", str(tmp_path)])
         assert code == 2
         assert "--grid" in capsys.readouterr().err
@@ -392,7 +396,7 @@ _BAD_P_OR_D = [
 def test_bad_p_or_d_exits_two_naming_it(tmp_path, capsys, command, extra, field):
     if command == "fit":
         csv = tmp_path / "sample.csv"
-        write_sample_csv(csv, generate_sample(np.sin, uniform_design(), 1024, seed=9))
+        _write_sample(csv)
         argv = ["fit", "--input", str(csv), *extra]
     else:
         cfg = write_config(tmp_path / "c.json", **{**_DIAGNOSE_OK, **extra})
@@ -403,8 +407,12 @@ def test_bad_p_or_d_exits_two_naming_it(tmp_path, capsys, command, extra, field)
 
 
 # Each row: the sample CSV text, a fragment the message must hold, and an id.
+# The byte-order-mark row reaches the sample size check, so its header was read.
 _BAD_INPUT = [
     ("x,y\n", "n=0 too small", "fit-input-header-only"),
+    ("", "needs a header naming columns x and y, read ''", "fit-input-empty"),
+    ("\ufeffx,y\n0.1,1.0\n0.2,2.0\n", "n=2 too small", "fit-input-bom"),
+    ("a,y\n0.1,1.0\n", "needs a header naming columns x and y, read 'a,y'", "fit-input-no-x"),
     ("x,y\n0.1,1.0\n0.2,2.0\n", "n=2 too small", "fit-input-n-2"),
     ("x,y\n" + "0.5,1.0\n" * 20 + "1.5,2.0\n", "must lie in [0, 1]", "fit-input-x-outside"),
 ]
@@ -415,14 +423,72 @@ _BAD_INPUT = [
 )
 def test_bad_fit_input_exits_two_naming_it(tmp_path, capsys, text, fragment):
     csv = tmp_path / "sample.csv"
-    csv.write_text(text)
+    csv.write_text(text, encoding="utf-8")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # loadtxt on a header-only file
+        warnings.simplefilter("error")  # a warning the command lets out fails the test
         code = main(["fit", "--input", str(csv), "--out-dir", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
     assert "--input" in err and str(csv) in err and fragment in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+def test_fit_reads_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    _write_sample(plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for path in (plain, marked):
+        assert main(["fit", "--input", str(path), "--out-dir", str(tmp_path / path.stem)]) == 0
+    for name in ("estimate.csv", "blocks.csv"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "marked" / name).read_bytes()
+
+
+def test_fit_grid_too_large_exits_two_before_any_work(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("fit went past the --grid check")
+
+    for name in ("make_basis", "read_sample_csv", "synthesize"):
+        monkeypatch.setattr(cli, name, unreachable)
+    out = tmp_path / "out"
+    code = main(["fit", "--input", str(tmp_path / "none.csv"), "--grid", str(1 << 40),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert "--grid=1099511627776 must be a power of two up to 1048576" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_grid_too_small_names_grid(tmp_path, capsys):
+    csv = tmp_path / "sample.csv"
+    _write_sample(csv)
+    assert main(["fit", "--input", str(csv), "--grid", "4", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "--grid: grid_size=4 cannot resolve" in err and "Traceback" not in err
+
+
+_DEPTH_FLOORS = [("haar", 8), ("db4", 12), ("db6", 10)]
+
+
+@pytest.mark.parametrize("entry", ["config", "basis", "fit"])
+@pytest.mark.parametrize("family,floor", _DEPTH_FLOORS)
+def test_refine_depth_below_family_floor_exits_two(tmp_path, capsys, entry, family, floor):
+    """One depth below the family's floor is refused naming refine_depth,
+    before the output directory is made."""
+    depth = floor - 1
+    out = tmp_path / "out"
+    if entry == "config":
+        cfg = write_config(tmp_path / "c.json", basis_family=family, refine_depth=depth,
+                           n_grid=[1024, 2048, 4096])
+        argv = ["rates", "--config", str(cfg)]
+    elif entry == "basis":
+        argv = ["basis", "--family", family, "--refine-depth", str(depth)]
+    else:
+        csv = tmp_path / "sample.csv"
+        _write_sample(csv)
+        argv = ["fit", "--input", str(csv), "--basis", family, "--refine-depth", str(depth)]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"refine_depth={depth} out of range for {family}: need {floor}..20" in err
+    assert not out.exists()
 
 
 def _write_rows_oracle(path, header, rows):

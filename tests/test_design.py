@@ -10,8 +10,8 @@ from blockshrink import (
     piecewise_design,
     read_sample_csv,
     uniform_design,
-    write_sample_csv,
 )
+from blockshrink.design import write_csv
 
 
 class TestPdf:
@@ -135,7 +135,7 @@ class TestGenerateSample:
     def test_csv_round_trip(self, tmp_path):
         s = generate_sample(lambda x: x, uniform_design(), 64, seed=2)
         path = tmp_path / "sample.csv"
-        write_sample_csv(path, s)
+        write_csv(path, "x,y", s.x, s.y)
         back = read_sample_csv(path)
         assert np.array_equal(back.x, s.x)
         assert np.array_equal(back.y, s.y)

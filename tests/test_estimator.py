@@ -23,11 +23,13 @@ from blockshrink import (
     make_test_function,
     midpoint_grid,
     piecewise_design,
-    term_threshold,
+    synthesize,
+    threshold_tree,
     uniform_design,
 )
-from blockshrink.basis import _level_sums
-from blockshrink.estimator import _canonical_order, _coefficient_tree
+from blockshrink.basis import CoefficientTree, _coefficient_tree
+from blockshrink.estimator import _canonical_order
+from oracles import direct_sums
 
 # Largest |pyramid - direct sums| per unit of sum_i |w_i| that the oracle
 # property allows.  Haar's pyramid and direct sums differ only by rounding.
@@ -291,14 +293,14 @@ class TestEmpiricalCoefficients:
         x = np.floor(s.x * 1024) / 1024 if dyadic else s.x
         w = s.y / (density.pdf(x) * n)
         grid = block_grid(n, 2.0, basis.coarsest_level)
-        tree = _coefficient_tree(basis, grid, x, w)
+        tree = _coefficient_tree(basis, grid.j_low, grid.j_high, x, w)
         atol = _PYRAMID_TOL[family] * np.abs(w).sum()
         np.testing.assert_allclose(
-            tree.alpha, _level_sums(basis, "father", grid.j_low, x, w), rtol=0, atol=atol
+            tree.alpha, direct_sums(basis, "father", grid.j_low, x, w), rtol=0, atol=atol
         )
         for j in grid.levels():
             np.testing.assert_allclose(
-                tree.detail(j), _level_sums(basis, "mother", j, x, w), rtol=0, atol=atol
+                tree.detail(j), direct_sums(basis, "mother", j, x, w), rtol=0, atol=atol
             )
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
@@ -309,7 +311,7 @@ class TestEmpiricalCoefficients:
         and 11/32 sit on the middle jump of a Haar wavelet at levels 3 and 4."""
         basis = request.getfixturevalue(family)
         grid = block_grid(4096, 2.0, basis.coarsest_level)
-        tree = _coefficient_tree(basis, grid, np.array([x]), np.array([0.7]))
+        tree = _coefficient_tree(basis, grid.j_low, grid.j_high, np.array([x]), [0.7])
         want = [0.7 * basis.eval("father", grid.j_low, k, x) for k in range(1 << grid.j_low)]
         np.testing.assert_allclose(tree.alpha, want, rtol=0, atol=1e-14)
         for j in grid.levels():
@@ -363,8 +365,8 @@ class TestBlockShrink:
             for b, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
                 stat = block_statistic(raw.detail(j)[lo:hi], 2.0)
                 assert est.statistics[j - est.grid.j_low][b] == pytest.approx(stat, rel=1e-14)
-                assert est.kept_blocks(j)[b] == (stat >= cut)
-                if not est.kept_blocks(j)[b]:
+                assert est.kept[j - est.grid.j_low][b] == (stat >= cut)
+                if not est.kept[j - est.grid.j_low][b]:
                     assert np.all(est.tree.detail(j)[lo:hi] == 0.0)
 
     def test_single_bump_block_selection(self, haar):
@@ -392,8 +394,8 @@ class TestBlockShrink:
         for rep in range(reps):
             s = generate_sample(sig.fn, density, n, seed=30_000 + rep)
             est = blockshrink(s, density, haar, 2.0, 4.0)
-            kept_dominant += bool(est.kept_blocks(dominant[0])[dominant[1]])
-            noise_kept += sum(bool(est.kept_blocks(j)[b]) for j, b in noise_blocks)
+            kept_dominant += bool(est.kept[dominant[0] - grid.j_low][dominant[1]])
+            noise_kept += sum(bool(est.kept[j - grid.j_low][b]) for j, b in noise_blocks)
         assert kept_dominant == reps
         assert noise_kept <= 0.10 * reps * len(noise_blocks)
 
@@ -406,11 +408,18 @@ class TestBlockShrink:
             assert np.all(m_loose | ~m_tight == m_loose)  # tight-kept subset of loose-kept
 
 
+def _term_estimate(sample, basis, mode, c):
+    """Term-by-term thresholding of the sample's tree under the uniform design."""
+    grid = block_grid(sample.n, 2.0, basis.coarsest_level)
+    return threshold_tree(empirical_coefficients(sample, uniform_design(), basis, grid),
+                          grid, mode, c)
+
+
 class TestTermThreshold:
     def test_all_below_gives_projection(self, haar):
         sig = make_test_function("constant", haar, jmax=8)
         s = generate_sample(sig.fn, uniform_design(), 1024, seed=2)
-        est = term_threshold(s, uniform_design(), haar, "hard", 50.0)
+        est = _term_estimate(s, haar, "hard", 50.0)
         assert all(np.all(b == 0.0) for b in est.tree.beta)
 
     def test_soft_shifts_by_threshold(self, haar):
@@ -421,7 +430,7 @@ class TestTermThreshold:
         raw = empirical_coefficients(
             s, uniform_design(), haar, block_grid(1024, 2.0, 0)
         )
-        est = term_threshold(s, uniform_design(), haar, "soft", c)
+        est = _term_estimate(s, haar, "soft", c)
         for j in est.grid.levels():
             expected = np.sign(raw.detail(j)) * np.maximum(np.abs(raw.detail(j)) - cut, 0.0)
             assert np.allclose(est.tree.detail(j), expected, atol=1e-15)
@@ -429,8 +438,8 @@ class TestTermThreshold:
     def test_hard_dominates_soft(self, haar):
         sig = make_test_function("heavisine", haar, jmax=8)
         s = generate_sample(sig.fn, uniform_design(), 2048, seed=13)
-        hard = term_threshold(s, uniform_design(), haar, "hard", 1.0)
-        soft = term_threshold(s, uniform_design(), haar, "soft", 1.0)
+        hard = _term_estimate(s, haar, "hard", 1.0)
+        soft = _term_estimate(s, haar, "soft", 1.0)
         for j in hard.grid.levels():
             hz = hard.tree.detail(j) != 0.0
             sz = soft.tree.detail(j) != 0.0
@@ -440,8 +449,8 @@ class TestTermThreshold:
     def test_mode_validation(self, haar):
         sig = make_test_function("constant", haar, jmax=8)
         s = generate_sample(sig.fn, uniform_design(), 1024, seed=2)
-        with pytest.raises(ValueError, match="mode"):
-            term_threshold(s, uniform_design(), haar, "firm", 1.0)
+        with pytest.raises(ValueError, match="rule must be 'block', 'hard' or 'soft'"):
+            _term_estimate(s, haar, "firm", 1.0)
 
 
 class TestStructuralSweep:
@@ -480,3 +489,60 @@ class TestStructuralSweep:
             assert all(not m.any() for m in est_inf.kept)
             checked += 2
         assert checked >= 200
+
+
+class TestMetamorphic:
+    """Relations that follow from the definition of BlockShrink, on one sample."""
+
+    @staticmethod
+    def _sample(n=2048, seed=8):
+        rng = np.random.default_rng(seed)
+        x = _DESIGNS["tilt"].ppf(rng.random(n))
+        return Sample(n, x, np.sin(6 * x) + rng.normal(size=n), 0)
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    def test_coefficients_linear_in_y(self, request, family):
+        basis = request.getfixturevalue(family)
+        s = self._sample()
+        other = np.random.default_rng(9).normal(size=s.n)
+        grid = block_grid(s.n, 2.0, basis.coarsest_level)
+        density = _DESIGNS["tilt"]
+
+        def tree(y):
+            return empirical_coefficients(Sample(s.n, s.x, y, 0), density, basis, grid)
+
+        t1, t2, mixed = tree(s.y), tree(other), tree(0.7 * s.y - 1.3 * other)
+        for a, b, m in zip([t1.alpha, *t1.beta], [t2.alpha, *t2.beta],
+                           [mixed.alpha, *mixed.beta]):
+            np.testing.assert_allclose(m, 0.7 * a - 1.3 * b, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    def test_zero_threshold_is_linear_projection(self, request, family):
+        """With d = 0 every block is kept, so the estimate is the linear
+        projection on levels j_low..j_high, which spans the scaling space of
+        level j_high + 1: the series of the scaling sums there."""
+        basis = request.getfixturevalue(family)
+        s = self._sample()
+        density = _DESIGNS["tilt"]
+        est = blockshrink(s, density, basis, 2.0, 0.0)
+        assert all(m.all() for m in est.kept)
+        top = est.grid.j_high + 1
+        w = s.y / (density.pdf(s.x) * s.n)
+        projection = CoefficientTree(top, top - 1, direct_sums(basis, "father", top, s.x, w), [])
+        np.testing.assert_allclose(
+            synthesize(basis, est.tree, 1 << 12), synthesize(basis, projection, 1 << 12),
+            rtol=0, atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    def test_kept_set_shrinks_as_d_grows(self, request, family):
+        basis = request.getfixturevalue(family)
+        s = self._sample()
+        density = _DESIGNS["tilt"]
+        ests = [blockshrink(s, density, basis, 2.0, d) for d in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
+        counts = [sum(int(m.sum()) for m in est.kept) for est in ests]
+        assert counts[0] > counts[-1]
+        for loose, tight in zip(ests, ests[1:]):
+            for ml, mt, bl, bt in zip(loose.kept, tight.kept, loose.tree.beta, tight.tree.beta):
+                assert np.all(ml | ~mt)
+                assert np.all((bt == bl) | (bt == 0.0))

@@ -23,13 +23,13 @@ from blockshrink import (
     run_diagnostics,
     run_rate_experiment,
     synthesize,
-    term_threshold,
     threshold_tree,
     uniform_design,
     wilson_upper,
 )
 from blockshrink import harness
-from blockshrink.estimator import _coefficient_tree, _weights
+from blockshrink.basis import _coefficient_tree
+from blockshrink.estimator import _weights
 
 
 class TestLpRisk:
@@ -197,12 +197,14 @@ class TestRunRateExperiment:
                 sample = generate_sample(
                     sig.fn, density, n, replication_seed(config.master_seed, n, rep)
                 )
-                tree = _coefficient_tree(basis, grid, sample.x, _weights(sample, density))
+                w = _weights(sample, density)
+                tree = _coefficient_tree(basis, grid.j_low, grid.j_high, sample.x, w)
                 drawn[rep] = [risk(threshold_tree(tree, grid, r, c).tree) for r, c in rules]
+                raw = empirical_coefficients(sample, density, basis, grid)
                 estimates = [
                     blockshrink(sample, density, basis, config.p, config.d),
-                    term_threshold(sample, density, basis, "hard", config.term_c, config.p),
-                    term_threshold(sample, density, basis, "soft", config.term_c, config.p),
+                    threshold_tree(raw, grid, "hard", config.term_c),
+                    threshold_tree(raw, grid, "soft", config.term_c),
                 ]
                 public[rep] = [risk(est.tree) for est in estimates]
             row = report.comparison[i]
@@ -373,7 +375,8 @@ class TestDiagnosePass:
         assert sorted(devs) == list(grid.levels())
         for rep in range(config.replications):
             sample = generate_sample(signal.fn, density, 512, replication_seed(31, 512, rep))
-            tree = _coefficient_tree(basis, grid, sample.x, _weights(sample, density))
+            w = _weights(sample, density)
+            tree = _coefficient_tree(basis, grid.j_low, grid.j_high, sample.x, w)
             for j, dev in devs.items():
                 assert np.array_equal(dev[rep], tree.detail(j) - signal.tree.detail(j))
 
