@@ -285,9 +285,12 @@ class CoefficientTree:
         return self.beta[j - self.j0]
 
     def copy(self) -> "CoefficientTree":
-        return CoefficientTree(
-            self.j0, self.jmax, self.alpha.copy(), [b.copy() for b in self.beta]
-        )
+        """An independent copy, built without re-running the checks that
+        ``self`` already passed."""
+        tree = object.__new__(type(self))
+        tree.j0, tree.jmax = self.j0, self.jmax
+        tree.alpha, tree.beta = self.alpha.copy(), [b.copy() for b in self.beta]
+        return tree
 
 
 def _level_terms(basis: WaveletBasis, kind: str, j: int, x: np.ndarray):
@@ -391,9 +394,10 @@ def synthesize(basis: WaveletBasis, tree: CoefficientTree, grid_size: int) -> np
             f"grid_size={grid_size} cannot resolve levels up to {tree.jmax}"
         )
     top, alpha = _lift(basis, tree)
-    # Every level-J cell holds the same midpoint offsets, so the values of
-    # the first cell serve all of them: cell c sees translate (c - m) mod 2^J.
-    _, val = _level_terms(basis, "father", top, midpoint_grid(grid_size)[: grid_size >> top])
+    # Every level-J cell holds the same midpoint offsets, so the values at the
+    # first cell's midpoints serve all of them: cell c sees translate (c - m) mod 2^J.
+    first_cell = (np.arange(grid_size >> top) + 0.5) / grid_size
+    _, val = _level_terms(basis, "father", top, first_cell)
     return sum(np.outer(np.roll(alpha, m), v) for m, v in enumerate(val)).ravel()
 
 

@@ -112,15 +112,14 @@ def _cmd_fit(args) -> int:
         raise ConfigError(f"--grid={args.grid} must be a power of two up to {_MAX_RISK_GRID}")
     basis = make_basis(args.basis, args.refine_depth)
     out_dir = Path(args.out_dir)
-    settings = {"input": str(args.input), "density": args.density, "basis": args.basis,
-                "p": args.p, "d": args.d, "grid": args.grid}
-    manifest = _Manifest("fit", settings, None, out_dir)
-    manifest.add_input(args.input)
     try:
         sample = read_sample_csv(args.input)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ValueError(f"--input: {exc}") from exc
-    density = density_from_spec(args.density)
+    try:
+        density = density_from_spec(args.density)
+    except ValueError as exc:
+        raise ValueError(f"--density: {exc}") from exc
     try:
         est = blockshrink(sample, density, basis, args.p, args.d)
     except SampleSizeError as exc:
@@ -129,6 +128,11 @@ def _cmd_fit(args) -> int:
         values = synthesize(basis, est.tree, args.grid)
     except ValueError as exc:
         raise ValueError(f"--grid: {exc}") from exc
+    # out_dir is made only once every input has passed its checks
+    settings = {"input": str(args.input), "density": args.density, "basis": args.basis,
+                "p": args.p, "d": args.d, "grid": args.grid}
+    manifest = _Manifest("fit", settings, None, out_dir)
+    manifest.add_input(args.input)
     est_path = out_dir / "estimate.csv"
     write_csv(est_path, "x,fhat", midpoint_grid(args.grid), values)
     manifest.add_output(est_path)

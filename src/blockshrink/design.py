@@ -24,7 +24,9 @@ class DesignDensity:
     slope: float = 0.0
     breaks: tuple = ()
     values: tuple = ()
-    _cum: tuple = field(default=(), repr=False)
+    # piecewise: the interior cumulative masses, then each segment's left
+    # edge, mass before it and value, as arrays
+    _segments: tuple = field(default=(), repr=False, compare=False)
 
     def pdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -40,19 +42,23 @@ class DesignDensity:
 
     def ppf(self, u) -> np.ndarray:
         """Inverse CDF; maps [0, 1) onto [0, 1)."""
+        return self.draw(u)[0]
+
+    def draw(self, u):
+        """The design points x = ppf(u) and the density g at them, read off
+        the inverse-CDF segment each u falls in, so no point is searched twice."""
         u = np.asarray(u, dtype=float)
         if self.kind == "uniform":
-            return u
+            return u, np.ones_like(u)
         if self.kind == "linear-tilt":
             a = self.slope
             b = 1.0 - 0.5 * a
-            return (np.sqrt(b * b + 2.0 * a * u) - b) / a
-        cum = np.asarray(self._cum)
-        vals = np.asarray(self.values)
-        lefts = np.concatenate(([0.0], np.asarray(self.breaks)))
-        seg = np.clip(np.searchsorted(cum, u, side="right"), 0, len(vals) - 1)
-        prev = np.where(seg > 0, cum[np.maximum(seg - 1, 0)], 0.0)
-        return lefts[seg] + (u - prev) / vals[seg]
+            x = (np.sqrt(b * b + 2.0 * a * u) - b) / a
+            return x, b + a * x
+        cuts, lefts, prevs, vals = self._segments
+        seg = np.searchsorted(cuts, u, side="right")
+        g = vals[seg]
+        return lefts[seg] + (u - prevs[seg]) / g, g
 
     def integral_check(self) -> float:
         """Quadrature value of the total mass, exact per linear segment."""
@@ -99,13 +105,14 @@ def piecewise_design(breaks, values) -> DesignDensity:
     masses = np.diff(edges) * np.asarray(values)
     if abs(masses.sum() - 1.0) > 1e-9:
         raise ValueError(f"piecewise density integrates to {masses.sum()!r}, not 1")
+    cuts = np.cumsum(masses)[:-1]
     return DesignDensity(
         kind="piecewise",
         g_min=min(values),
         g_max=max(values),
         breaks=breaks,
         values=values,
-        _cum=tuple(np.cumsum(masses)),
+        _segments=(cuts, edges[:-1], np.concatenate(([0.0], cuts)), np.asarray(values)),
     )
 
 
@@ -149,12 +156,13 @@ def density_from_spec(spec) -> DesignDensity:
 
 @dataclass(frozen=True)
 class Sample:
-    """n observation pairs plus the seed that generated them."""
+    """n observation pairs; ``g`` holds the design density at each x when
+    the sample was drawn by ``generate_sample``."""
 
     n: int
     x: np.ndarray
     y: np.ndarray
-    seed: int
+    g: np.ndarray | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if len(self.x) != self.n or len(self.y) != self.n:
@@ -175,10 +183,10 @@ def generate_sample(
     if n < 1:
         raise ValueError("n must be at least 1")
     design_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-    x = density.ppf(np.random.default_rng(design_ss).random(n))
+    x, g = density.draw(np.random.default_rng(design_ss).random(n))
     fx = np.asarray(f(x), dtype=float)
     y = fx if noiseless else fx + np.random.default_rng(noise_ss).standard_normal(n)
-    return Sample(n=n, x=x, y=np.asarray(y, dtype=float), seed=int(seed))
+    return Sample(n=n, x=x, y=np.asarray(y, dtype=float), g=g)
 
 
 # Rows formatted and written per string; bounds the text held in memory.
@@ -199,7 +207,7 @@ def write_csv(path, header: str, *columns) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def read_sample_csv(path, seed: int = 0) -> Sample:
+def read_sample_csv(path) -> Sample:
     """Read the columns named x and y (in any order) of a CSV file with a header row.
 
     A UTF-8 byte-order mark before the header is skipped.  Raises ValueError
@@ -226,6 +234,6 @@ def read_sample_csv(path, seed: int = 0) -> Sample:
     if np.any(~np.isfinite(x)) or np.any(~np.isfinite(y)):
         raise ValueError(f"sample file {path} contains non-numeric entries")
     try:
-        return Sample(n=len(x), x=x, y=y, seed=seed)
+        return Sample(n=len(x), x=x, y=y)
     except ValueError as exc:
         raise ValueError(f"sample file {path}: {exc}") from exc

@@ -107,8 +107,8 @@ def block_statistics(coeffs, edges, p: float) -> np.ndarray:
     return (np.add.reduceat(np.abs(coeffs) ** p, starts, axis=-1) / sizes) ** (1.0 / p)
 
 
-def _weights(sample: Sample, density: DesignDensity) -> np.ndarray:
-    g = density.pdf(sample.x)
+def _weights(sample: Sample, g, density: DesignDensity) -> np.ndarray:
+    """y_i / (n g(x_i)), once g has passed the density's certified bounds."""
     if np.any(g < density.g_min - 1e-12) or np.any(g > density.g_max + 1e-12):
         raise RuntimeError("density evaluation escaped its certified bounds")
     return sample.y / (g * sample.n)
@@ -119,15 +119,16 @@ def empirical_coefficients(
 ) -> CoefficientTree:
     """Unthresholded reweighted empirical coefficients on the grid's levels.
 
-    For samples read from outside (``fit``): the sample is sorted once into
-    canonical (x, y) order before the sums (see ``_canonical_order``), so
-    permuting it leaves every coefficient bit-identical.  Seeded replications
-    skip the sort and sum in drawn order (see ``harness._replicate``).
+    For samples read from outside (``fit``): g is ``density.pdf`` at the
+    points, and the sample is sorted once into canonical (x, y) order before
+    the sums (see ``_canonical_order``), so permuting it leaves every
+    coefficient bit-identical.  Seeded replications read g off the draw, skip
+    the sort and sum in drawn order (see ``harness._replicate``).
     """
     if sample.n < 1:
         raise ValueError("sample is empty")
     order, xs = _canonical_order(sample.x, sample.y)
-    w = _weights(sample, density)
+    w = _weights(sample, density.pdf(sample.x), density)
     return _coefficient_tree(basis, grid.j_low, grid.j_high, xs, w[order])
 
 

@@ -196,9 +196,9 @@ def _replicate(config: ExperimentConfig, basis, grid, density, signal, kernel,
     on up to ``threads`` workers (at most one per CPU).
 
     Replication rep draws its sample from its own seed; ``tree`` holds the
-    sample's reweighted coefficient sums on the grid's levels, summed in the
-    order the seed drew the points.  The seed fixes that order, so no sort is
-    needed for results to replay exactly.
+    sample's reweighted coefficient sums on the grid's levels, with g read
+    off the draw, summed in the order the seed drew the points.  The seed
+    fixes that order, so no sort is needed for results to replay exactly.
     """
     if threads < 1:
         raise ConfigError(f"threads={threads} must be at least 1")
@@ -207,7 +207,7 @@ def _replicate(config: ExperimentConfig, basis, grid, density, signal, kernel,
     def one(rep: int):
         seed = replication_seed(config.master_seed, grid.n, rep)
         sample = generate_sample(signal.fn, density, grid.n, seed, noiseless=config.noiseless)
-        w = _weights(sample, density)
+        w = _weights(sample, sample.g, density)
         return kernel(_coefficient_tree(basis, grid.j_low, grid.j_high, sample.x, w))
 
     reps = range(config.replications)

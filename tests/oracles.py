@@ -1,10 +1,12 @@
-"""Direct per-level sums and series evaluation: the oracles of the filter bank.
+"""Direct per-level sums and series evaluation: the oracles of the filter bank;
+and the direct inverse CDF: the oracle of the design draw.
 
 The package computes every coefficient tree as scaling sums one level above
 the finest detail level plus the periodic analysis filter bank, and every
 series value by lifting the tree to its top level.  These helpers do it the
 slow way, one level at a time with the mother functions, so the tests can
-check the fast path against them.
+check the fast path against them.  ``direct_ppf`` finds each point's segment
+with the full cumulative masses and clips it, as the sampler once did.
 """
 
 import numpy as np
@@ -39,3 +41,22 @@ def direct_evaluate(basis, tree, x):
         idx, val = _level_terms(basis, "mother", tree.j0 + i, x)
         out += np.einsum("mi,mi->i", b[idx], val)
     return out
+
+
+def direct_ppf(density, u):
+    """Inverse CDF of ``density`` at u, with its segment found from all the
+    cumulative masses, then clipped, and the mass before it by ``where``."""
+    u = np.asarray(u, dtype=float)
+    if density.kind == "uniform":
+        return u
+    if density.kind == "linear-tilt":
+        a = density.slope
+        b = 1.0 - 0.5 * a
+        return (np.sqrt(b * b + 2.0 * a * u) - b) / a
+    edges = np.array([0.0, *density.breaks, 1.0])
+    cum = np.cumsum(np.diff(edges) * np.asarray(density.values))
+    vals = np.asarray(density.values)
+    lefts = np.concatenate(([0.0], np.asarray(density.breaks)))
+    seg = np.clip(np.searchsorted(cum, u, side="right"), 0, len(vals) - 1)
+    prev = np.where(seg > 0, cum[np.maximum(seg - 1, 0)], 0.0)
+    return lefts[seg] + (u - prev) / vals[seg]

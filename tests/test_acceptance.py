@@ -293,7 +293,7 @@ def test_criterion_8_structural_invariants():
         p = float(rng.choice([2.0, 2.5, 3.0, 4.0]))
         x = rng.random(n)
         y = rng.normal(size=n) + np.sin(2 * np.pi * x * rng.integers(1, 4))
-        sample = Sample(n, x, y, 0)
+        sample = Sample(n, x, y)
         grid = block_grid(n, p, 0)
         # block partition covers every level exactly once
         for j in grid.levels():
@@ -310,8 +310,8 @@ def test_criterion_8_structural_invariants():
         # linearity of the coefficient map in y
         y2 = rng.normal(size=n)
         ta = empirical_coefficients(sample, density, basis, grid)
-        tb = empirical_coefficients(Sample(n, x, y2, 0), density, basis, grid)
-        tab = empirical_coefficients(Sample(n, x, y + y2, 0), density, basis, grid)
+        tb = empirical_coefficients(Sample(n, x, y2), density, basis, grid)
+        tab = empirical_coefficients(Sample(n, x, y + y2), density, basis, grid)
         assert np.allclose(tab.alpha, ta.alpha + tb.alpha, rtol=0, atol=1e-12)
         for j in grid.levels():
             assert np.allclose(

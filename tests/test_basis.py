@@ -228,6 +228,40 @@ class TestExactCoefficients:
             np.testing.assert_allclose(a, b, rtol=0, atol=tol)
 
 
+class TestCoefficientTree:
+    @staticmethod
+    def _tree():
+        rng = np.random.default_rng(4)
+        return CoefficientTree(2, 4, rng.normal(size=4), [rng.normal(size=1 << j)
+                                                          for j in (2, 3, 4)])
+
+    def test_copy_is_independent_of_its_source(self):
+        tree = self._tree()
+        before = [tree.alpha.copy(), *(b.copy() for b in tree.beta)]
+        copy = tree.copy()
+        assert isinstance(copy, CoefficientTree) and (copy.j0, copy.jmax) == (2, 4)
+        for got, want in zip([copy.alpha, *copy.beta], before):
+            assert np.array_equal(got, want)
+        copy.alpha[:] = 0.0
+        copy.detail(3)[1] = np.nan
+        copy.beta.append(np.zeros(32))
+        for got, want in zip([tree.alpha, *tree.beta], before, strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda a, beta: (a[:2], beta), "alpha must hold 4 values"),
+        (lambda a, beta: (a, beta[:2]), "one array per level"),
+        (lambda a, beta: (a, [beta[0], beta[1][:4], beta[2]]), "level 3 must hold 8 values"),
+        (lambda a, beta: (np.where(np.arange(4) == 1, np.inf, a), beta), "finite"),
+        (lambda a, beta: (a, [beta[0], beta[1], np.full(16, np.nan)]), "finite"),
+    ], ids=["alpha-length", "level-count", "level-length", "alpha-inf", "beta-nan"])
+    def test_construction_validates(self, edit, message):
+        tree = self._tree()
+        alpha, beta = edit(tree.alpha, tree.beta)
+        with pytest.raises(ValueError, match=message):
+            CoefficientTree(2, 4, alpha, beta)
+
+
 class TestSynthesize:
     def test_constant_tree(self, haar):
         tree = CoefficientTree(0, -1, np.array([1.0]), [])

@@ -2,6 +2,7 @@
 
 import json
 import platform
+import re
 import warnings
 from dataclasses import fields
 from datetime import datetime, timezone
@@ -431,6 +432,7 @@ def test_bad_fit_input_exits_two_naming_it(tmp_path, capsys, text, fragment):
     err = capsys.readouterr().err
     assert "--input" in err and str(csv) in err and fragment in err
     assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_reads_a_byte_order_mark(tmp_path):
@@ -463,6 +465,98 @@ def test_fit_grid_too_small_names_grid(tmp_path, capsys):
     assert main(["fit", "--input", str(csv), "--grid", "4", "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "--grid: grid_size=4 cannot resolve" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra,flag", [
+    (["--input", "MISSING"], "--input"),
+    (["--density", "foo"], "--density: density 'foo': unknown density spec"),
+    (["--density", "linear-tilt:3"], "--density: density 'linear-tilt:3'"),
+    (["--grid", "4"], "--grid: grid_size=4 cannot resolve"),
+], ids=["input-missing", "density-unknown", "density-slope", "grid-too-small"])
+def test_fit_error_names_its_flag_and_makes_no_out_dir(tmp_path, capsys, extra, flag):
+    csv = tmp_path / "sample.csv"
+    _write_sample(csv)
+    argv = ["fit", "--input", str(csv), *extra, "--out-dir", str(tmp_path / "out")]
+    assert main([arg.replace("MISSING", str(tmp_path / "none.csv")) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# Edits of one row of an otherwise valid sample: benign ones (a blank line,
+# x at 0 or 1) and ones that must be rejected naming --input.
+_ROW_EDITS = {
+    "blank": lambda x, y: "",
+    "x-zero": lambda x, y: f"0,{y!r}",
+    "x-one": lambda x, y: f"1.0,{y!r}",
+    "x-above": lambda x, y: f"1.5,{y!r}",
+    "x-below": lambda x, y: f"-0.25,{y!r}",
+    "nan": lambda x, y: f"{x!r},nan",
+    "inf": lambda x, y: f"inf,{y!r}",
+    "quoted": lambda x, y: f'"{x!r}",{y!r}',
+    "text": lambda x, y: f"{x!r},abc",
+    "short": lambda x, y: f"{x!r}",
+    "long": lambda x, y: f"{x!r},{y!r},{y!r}",
+    "empty-cell": lambda x, y: f",{y!r}",
+}
+_HEADERS = st.sampled_from(["x,y", "x,y", "y,x", "x,y,z", "x", "a,b", '"x","y"', "# x,y", ""])
+_FIT_FLAGS = {
+    "--density": st.sampled_from(["uniform", "linear-tilt:0.5", "linear-tilt:-2",
+                                  "piecewise:0.5:0.5,1.5", "piecewise:0.5:1,2", "foo", "",
+                                  "linear-tilt:nan"]),
+    "--basis": st.sampled_from(["haar", "db4", "db6"]),
+    "--p": st.sampled_from(["2", "3", "1", "nan", "x"]),
+    "--d": st.sampled_from(["0", "4", "-1", "inf"]),
+    "--grid": st.sampled_from(["1024", "4096", "4", "1000", str(1 << 21), "x"]),
+}
+# How an exit-2 message names each flag: --p and --d also by their values.
+_FLAG_PATTERNS = {
+    "--input": r"--input\b",
+    "--density": r"--density\b",
+    "--basis": r"--basis\b",
+    "--p": r"--p\b|(?<![\w-])p=",
+    "--d": r"--d\b|(?<![\w-])d=",
+    "--grid": r"--grid\b",
+}
+
+
+@pytest.mark.filterwarnings("ignore:coarse level .* clamping:RuntimeWarning")
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.sampled_from([0, 2, 40, 2048]), seed=st.integers(0, 2**32 - 1),
+       edits=st.lists(st.tuples(st.integers(0, 4095), st.sampled_from(sorted(_ROW_EDITS))),
+                      max_size=3),
+       header=_HEADERS, bom=st.booleans(), newline=st.sampled_from(["\n", "\r\n"]),
+       flags=st.fixed_dictionaries({}, optional=_FIT_FLAGS))
+def test_fit_fuzz(tmp_path, capsys, n, seed, edits, header, bom, newline, flags):
+    """A seeded sample CSV with a few rows edited (blank lines, quotes, NaN,
+    ragged rows, x at 0 and 1 and outside), any header and flag values give
+    exit 0 with both outputs, or exit 2 with a message that names a flag or
+    --input and no output directory; never a traceback."""
+    rng = np.random.default_rng(seed)
+    rows = [f"{x!r},{y!r}" for x, y in zip(rng.random(n).tolist(), rng.normal(size=n).tolist())]
+    for pos, name in edits:
+        if rows:
+            x, y = rng.random(), rng.normal()
+            rows[pos % len(rows)] = _ROW_EDITS[name](x, y)
+    csv = tmp_path / "fuzz.csv"
+    text = newline.join([header, *rows]) + newline
+    csv.write_text(("\ufeff" if bom else "") + text, encoding="utf-8")
+    out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+    argv = ["fit", "--input", str(csv), "--out-dir", str(out)]
+    for flag, value in flags.items():
+        argv += [flag, value]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2) and "Traceback" not in err
+    if code == 0:
+        assert (out / "estimate.csv").exists() and (out / "blocks.csv").exists()
+    else:
+        # the error line, below argparse's usage text
+        named = [flag for flag, pattern in _FLAG_PATTERNS.items()
+                 if re.search(pattern, err.splitlines()[-1])]
+        assert named and set(named) <= {"--input", *flags}, err
+        assert not out.exists()
 
 
 _DEPTH_FLOORS = [("haar", 8), ("db4", 12), ("db6", 10)]

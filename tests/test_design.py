@@ -12,6 +12,23 @@ from blockshrink import (
     uniform_design,
 )
 from blockshrink.design import write_csv
+from oracles import direct_ppf
+
+# Designs of every kind: uniform, tilts both ways, two and four segments.
+_DRAW_DESIGNS = {
+    "uniform": uniform_design(),
+    "tilt+1.5": linear_tilt_design(1.5),
+    "tilt-1.5": linear_tilt_design(-1.5),
+    "piecewise-2": piecewise_design([0.3], [0.5, 17 / 14]),
+    "piecewise-4": piecewise_design([0.2, 0.45, 0.8], [0.5, 1.6, 0.8, 1.1]),
+}
+
+
+def _masses(density):
+    """The cumulative masses at the right edge of each segment."""
+    edges = np.array([0.0, *density.breaks, 1.0])
+    values = density.values or (1.0,)
+    return np.cumsum(np.diff(edges) * np.asarray(values))
 
 
 class TestPdf:
@@ -66,6 +83,42 @@ class TestPdf:
         assert g.pdf(0.7) == 1.5
         with pytest.raises(ValueError, match="unknown density"):
             density_from_spec("cauchy")
+
+
+@pytest.mark.parametrize("name", sorted(_DRAW_DESIGNS))
+class TestDraw:
+    """``draw`` against the direct inverse CDF, and its g against ``pdf``."""
+
+    @staticmethod
+    def _u(density):
+        masses = _masses(density)
+        edge = np.concatenate(([0.0], masses, np.nextafter(masses, 0.0)))
+        return np.concatenate((edge, np.random.default_rng(6).random(20_000)))
+
+    def test_x_is_the_direct_ppf(self, name):
+        density = _DRAW_DESIGNS[name]
+        u = self._u(density)
+        x, _ = density.draw(u)
+        assert np.array_equal(x, direct_ppf(density, u))
+        assert np.array_equal(density.ppf(u), x)
+
+    def test_g_is_the_pdf_off_the_breaks(self, name):
+        density = _DRAW_DESIGNS[name]
+        x, g = density.draw(self._u(density))
+        off = ~np.isin(x, density.breaks) & (x <= 1.0)
+        assert off.sum() > 20_000 - 10
+        assert np.array_equal(g[off], density.pdf(x[off]))
+        assert np.all((g >= density.g_min) & (g <= density.g_max))
+        # u at an interior mass draws the break itself; both take the right segment
+        x, g = density.draw(_masses(density)[:-1])
+        assert np.array_equal(x, density.breaks) and np.array_equal(g, density.pdf(x))
+
+    def test_sample_carries_the_drawn_g(self, name):
+        density = _DRAW_DESIGNS[name]
+        s = generate_sample(np.sin, density, 4096, seed=17)
+        u = np.random.default_rng(np.random.SeedSequence(17).spawn(2)[0]).random(4096)
+        x, g = density.draw(u)
+        assert np.array_equal(s.x, x) and np.array_equal(s.g, g)
 
 
 def _design(density, n, seed):

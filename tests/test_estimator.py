@@ -163,7 +163,7 @@ class TestBlockStatistics:
 
 class TestEmpiricalCoefficients:
     def test_single_point_sum(self, haar):
-        s = Sample(n=1, x=np.array([0.25]), y=np.array([2.0]), seed=0)
+        s = Sample(n=1, x=np.array([0.25]), y=np.array([2.0]))
         grid = BlockGrid(n=1, p=2.0, block_size=1, j_low=0, j_high=0, clamped=False)
         tree = empirical_coefficients(s, uniform_design(), haar, grid)
         assert tree.detail(0)[0] == pytest.approx(2.0)
@@ -208,9 +208,9 @@ class TestEmpiricalCoefficients:
         y2 = rng.normal(size=512)
         grid = block_grid(512, 2.0, 0)
         density = uniform_design()
-        t1 = empirical_coefficients(Sample(512, x, y1, 0), density, haar, grid)
-        t2 = empirical_coefficients(Sample(512, x, y2, 0), density, haar, grid)
-        t12 = empirical_coefficients(Sample(512, x, y1 + y2, 0), density, haar, grid)
+        t1 = empirical_coefficients(Sample(512, x, y1), density, haar, grid)
+        t2 = empirical_coefficients(Sample(512, x, y2), density, haar, grid)
+        t12 = empirical_coefficients(Sample(512, x, y1 + y2), density, haar, grid)
         assert np.allclose(t12.alpha, t1.alpha + t2.alpha, rtol=0, atol=1e-12)
         for j in grid.levels():
             assert np.allclose(
@@ -225,8 +225,8 @@ class TestEmpiricalCoefficients:
         density = uniform_design()
         for basis in (haar, db4, db6):
             grid = block_grid(2048, 2.0, basis.coarsest_level)
-            t1 = empirical_coefficients(Sample(2048, x, y, 0), density, basis, grid)
-            t2 = empirical_coefficients(Sample(2048, x[perm], y[perm], 0), density, basis, grid)
+            t1 = empirical_coefficients(Sample(2048, x, y), density, basis, grid)
+            t2 = empirical_coefficients(Sample(2048, x[perm], y[perm]), density, basis, grid)
             assert np.array_equal(t1.alpha, t2.alpha)
             for j in grid.levels():
                 assert np.array_equal(t1.detail(j), t2.detail(j))
@@ -243,8 +243,8 @@ class TestEmpiricalCoefficients:
         density = uniform_design()
         for basis in (haar, db4, db6):
             grid = block_grid(n, 2.0, basis.coarsest_level)
-            t1 = empirical_coefficients(Sample(n, x, y, 0), density, basis, grid)
-            t2 = empirical_coefficients(Sample(n, x[perm], y[perm], 0), density, basis, grid)
+            t1 = empirical_coefficients(Sample(n, x, y), density, basis, grid)
+            t2 = empirical_coefficients(Sample(n, x[perm], y[perm]), density, basis, grid)
             assert np.array_equal(t1.alpha, t2.alpha)
             for j in grid.levels():
                 assert np.array_equal(t1.detail(j), t2.detail(j))
@@ -466,7 +466,7 @@ class TestStructuralSweep:
             p = float(rng.choice([2.0, 2.5, 3.0, 4.0]))
             x = rng.random(n)
             y = rng.normal(size=n) + np.sin(2 * np.pi * x * rng.integers(1, 4))
-            s = Sample(n, x, y, 0)
+            s = Sample(n, x, y)
             grid = block_grid(n, p, 0)
             for j in grid.levels():
                 sizes = np.diff(grid.boundaries(j))
@@ -480,7 +480,7 @@ class TestStructuralSweep:
                 checked += 1
             scale = float(rng.uniform(0.5, 2.0))
             t1 = empirical_coefficients(s, density, haar, grid)
-            t2 = empirical_coefficients(Sample(n, x, scale * y, 0), density, haar, grid)
+            t2 = empirical_coefficients(Sample(n, x, scale * y), density, haar, grid)
             assert np.allclose(t2.alpha, scale * t1.alpha, rtol=1e-12, atol=1e-14)
             checked += 1
             est0 = blockshrink(s, density, haar, p, 0.0)
@@ -498,7 +498,7 @@ class TestMetamorphic:
     def _sample(n=2048, seed=8):
         rng = np.random.default_rng(seed)
         x = _DESIGNS["tilt"].ppf(rng.random(n))
-        return Sample(n, x, np.sin(6 * x) + rng.normal(size=n), 0)
+        return Sample(n, x, np.sin(6 * x) + rng.normal(size=n))
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
     def test_coefficients_linear_in_y(self, request, family):
@@ -509,7 +509,7 @@ class TestMetamorphic:
         density = _DESIGNS["tilt"]
 
         def tree(y):
-            return empirical_coefficients(Sample(s.n, s.x, y, 0), density, basis, grid)
+            return empirical_coefficients(Sample(s.n, s.x, y), density, basis, grid)
 
         t1, t2, mixed = tree(s.y), tree(other), tree(0.7 * s.y - 1.3 * other)
         for a, b, m in zip([t1.alpha, *t1.beta], [t2.alpha, *t2.beta],
@@ -533,6 +533,28 @@ class TestMetamorphic:
             synthesize(basis, est.tree, 1 << 12), synthesize(basis, projection, 1 << 12),
             rtol=0, atol=1e-12,
         )
+
+    @pytest.mark.parametrize("m,levels", [(2, [5]), (4, [4, 5]), (56, [3, 4, 5]), (62, [5])])
+    def test_haar_cyclic_shift_rotates_each_level(self, haar, m, levels):
+        """Under the uniform design, shifting every x cyclically by m / 2^(J+1),
+        J = j_high, moves each point m cells over at level J + 1.  So level j
+        (and the scaling level j_low with it) rotates by m / 2^(J+1-j) wherever
+        that is a whole number: on ``levels``.  The points lie on a 2^-20
+        grid, so the shift is exact and the coefficients match to the bit."""
+        n = 1 << 14
+        s = generate_sample(np.sin, uniform_design(), n, seed=23)
+        x = np.floor(s.x * 2.0**20) / 2.0**20
+        grid = block_grid(n, 2.0, haar.coarsest_level)
+        top = grid.j_high + 1
+        assert (grid.j_low, top) == (3, 6)
+        tree = empirical_coefficients(Sample(n, x, s.y), uniform_design(), haar, grid)
+        moved = empirical_coefficients(Sample(n, np.mod(x + m / 2.0**top, 1.0), s.y),
+                                       uniform_design(), haar, grid)
+        pairs = [(grid.j_low, tree.alpha, moved.alpha)]
+        pairs += [(j, tree.detail(j), moved.detail(j)) for j in grid.levels()]
+        for j, before, after in pairs:
+            rotates = np.array_equal(after, np.roll(before, m >> (top - j)))
+            assert rotates == (j in levels), j
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
     def test_kept_set_shrinks_as_d_grows(self, request, family):

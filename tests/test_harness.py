@@ -1,14 +1,18 @@
 """Risk computation, rate fitting, and the Monte Carlo diagnostics."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from blockshrink import (
+    CoefficientTree,
     ConfigError,
+    DesignDensity,
     ExperimentConfig,
+    Sample,
     block_grid,
     blockshrink,
     empirical_coefficients,
@@ -197,7 +201,7 @@ class TestRunRateExperiment:
                 sample = generate_sample(
                     sig.fn, density, n, replication_seed(config.master_seed, n, rep)
                 )
-                w = _weights(sample, density)
+                w = _weights(sample, density.pdf(sample.x), density)
                 tree = _coefficient_tree(basis, grid.j_low, grid.j_high, sample.x, w)
                 drawn[rep] = [risk(threshold_tree(tree, grid, r, c).tree) for r, c in rules]
                 raw = empirical_coefficients(sample, density, basis, grid)
@@ -375,7 +379,7 @@ class TestDiagnosePass:
         assert sorted(devs) == list(grid.levels())
         for rep in range(config.replications):
             sample = generate_sample(signal.fn, density, 512, replication_seed(31, 512, rep))
-            w = _weights(sample, density)
+            w = _weights(sample, density.pdf(sample.x), density)
             tree = _coefficient_tree(basis, grid.j_low, grid.j_high, sample.x, w)
             for j, dev in devs.items():
                 assert np.array_equal(dev[rep], tree.detail(j) - signal.tree.detail(j))
@@ -441,6 +445,60 @@ class TestReplicate:
             monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
             assert run(10**6) == serial
         assert pools == [4, 3]
+
+
+# One design of each kind for the engine's per-replication checks.
+_ENGINE_DENSITIES = {
+    "uniform": {"kind": "uniform"},
+    "tilt": {"kind": "linear-tilt", "slope": -1.5},
+    "piecewise": {"kind": "piecewise", "breaks": [0.3], "values": [0.5, 17 / 14]},
+}
+
+
+def _engine(density):
+    """``_replicate``'s inputs at n = 256 with 50 doppler replications."""
+    config = ExperimentConfig(signal={"name": "doppler"}, density=_ENGINE_DENSITIES[density],
+                              n_grid=(256,), replications=50)
+    basis, dens, signal = harness._materialize(config)
+    return config, basis, block_grid(256, config.p, basis.coarsest_level), dens, signal
+
+
+@pytest.mark.parametrize("density", sorted(_ENGINE_DENSITIES))
+class TestReplicationChecks:
+    def test_each_check_runs_once_per_replication(self, monkeypatch, density):
+        """Per replication: x is range-checked once (by the Sample), pdf is
+        never called, and one tree is validated however often the kernel
+        copies it (threshold_tree copies it once per rule)."""
+        config, basis, grid, dens, signal = _engine(density)
+        calls = Counter()
+        for cls, name in ((DesignDensity, "pdf"), (Sample, "__post_init__"),
+                          (CoefficientTree, "__post_init__")):
+            def spy(*args, _original=getattr(cls, name), _key=f"{cls.__name__}.{name}",
+                    **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, spy)
+
+        def kernel(tree):
+            return [threshold_tree(tree, grid, rule, 2.0).tree.alpha[0]
+                    for rule in ("block", "hard", "soft")]
+
+        harness._replicate(config, basis, grid, dens, signal, kernel, 1)
+        assert calls == {"Sample.__post_init__": 50, "CoefficientTree.__post_init__": 50}
+
+    @pytest.mark.parametrize("side", ["low", "high"])
+    def test_drawn_g_outside_its_bounds_raises(self, monkeypatch, density, side):
+        config, basis, grid, dens, signal = _engine(density)
+        draw = DesignDensity.draw
+
+        def broken(self, u):
+            x, g = draw(self, u)
+            return x, np.full_like(g, self.g_min * 0.99 if side == "low" else self.g_max * 1.01)
+
+        monkeypatch.setattr(DesignDensity, "draw", broken)
+        with pytest.raises(RuntimeError, match="certified bounds"):
+            harness._replicate(config, basis, grid, dens, signal, lambda tree: 0.0, 1)
 
 
 class TestCalibration:
