@@ -258,7 +258,9 @@ class CoefficientTree:
     """Wavelet coefficients: scaling at level j0, details on levels j0 .. jmax.
 
     ``jmax = j0 - 1`` encodes a tree with no detail levels.  ``beta[i]`` holds
-    the 2^(j0+i) detail coefficients of level j0 + i.
+    the 2^(j0+i) detail coefficients of level j0 + i along its last axis.
+    Leading axes, the same for every array, stack trees: row r of each array
+    belongs to the r-th tree.
     """
 
     j0: int
@@ -269,13 +271,16 @@ class CoefficientTree:
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.beta = [np.asarray(b, dtype=float) for b in self.beta]
-        if len(self.alpha) != 1 << self.j0:
+        rows = self.alpha.shape[:-1]
+        if self.alpha.shape[-1:] != (1 << self.j0,):
             raise ValueError(f"alpha must hold {1 << self.j0} values")
         if len(self.beta) != self.jmax - self.j0 + 1:
             raise ValueError("beta must hold one array per level j0..jmax")
+        stacked = f" per tree of the {rows} stack" if rows else ""
         for i, b in enumerate(self.beta):
-            if len(b) != 1 << (self.j0 + i):
-                raise ValueError(f"level {self.j0 + i} must hold {1 << (self.j0 + i)} values")
+            if b.shape != rows + (1 << (self.j0 + i),):
+                raise ValueError(f"level {self.j0 + i} must hold {1 << (self.j0 + i)} values"
+                                 + stacked)
         if not (np.all(np.isfinite(self.alpha)) and all(np.all(np.isfinite(b)) for b in self.beta)):
             raise ValueError("coefficients must be finite")
 
@@ -322,48 +327,64 @@ def _level_terms(basis: WaveletBasis, kind: str, j: int, x: np.ndarray):
     return idx, val
 
 
-def _coefficient_tree(basis: WaveletBasis, j0: int, jmax: int, x, w) -> CoefficientTree:
-    """Tree of the weighted sums sum_i w_i f_{j,k}(x_i) on levels j0 .. jmax:
-    the scaling sums at level jmax + 1, then one analysis step per level down
-    to j0.  The sums follow the order of ``x``, so the result depends on that
-    order only through floating-point rounding."""
-    idx, val = _level_terms(basis, "father", jmax + 1, x)
-    alpha = np.bincount(idx.ravel(), weights=(val * w).ravel(), minlength=1 << (jmax + 1))
-    beta = []
+def _scaling_sums(basis: WaveletBasis, j: int, x, w) -> np.ndarray:
+    """The weighted sums sum_i w_i phi_{j,k}(x_i) of the 2^j level-j scaling
+    translates, accumulated in the order of ``x``."""
+    idx, val = _level_terms(basis, "father", j, x)
+    return np.bincount(idx.ravel(), weights=(val * w).ravel(), minlength=1 << j)
+
+
+def _analysis(basis: WaveletBasis, j0: int, jmax: int, scaling: np.ndarray) -> CoefficientTree:
+    """The tree on levels j0 .. jmax of the level-(jmax + 1) scaling
+    coefficients ``scaling``: one analysis step per level.  Leading axes of
+    ``scaling`` stack trees, and each row comes out as it would alone."""
+    alpha, beta = scaling, []
     for _ in range(j0, jmax + 1):
         alpha, detail = _forward_step(basis, alpha)
         beta.insert(0, detail)
     return CoefficientTree(j0=j0, jmax=jmax, alpha=alpha, beta=beta)
 
 
+def _coefficient_tree(basis: WaveletBasis, j0: int, jmax: int, x, w) -> CoefficientTree:
+    """Tree of the weighted sums sum_i w_i f_{j,k}(x_i) on levels j0 .. jmax:
+    the scaling sums at level jmax + 1, then the analysis steps down to j0.
+    The sums follow the order of ``x``, so the result depends on that order
+    only through floating-point rounding."""
+    return _analysis(basis, j0, jmax, _scaling_sums(basis, jmax + 1, x, w))
+
+
 def _inverse_step(basis: WaveletBasis, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """One periodic synthesis step (Mallat 1989): level-j scaling and detail
-    coefficients to the 2^(j+1) scaling coefficients of level j + 1.
+    coefficients to the 2^(j+1) scaling coefficients of level j + 1, along
+    the last axis.
 
     From phi_{j,k} = sum_m h_m phi_{j+1,2k+m} and psi_{j,k} = sum_m g_m
     phi_{j+1,2k+m}, with translates wrapped mod 2^(j+1).
     """
-    dim = 2 * len(alpha)
+    dim = 2 * alpha.shape[-1]
     even = np.arange(0, dim, 2)
-    out = np.zeros(dim)
+    out = np.zeros(alpha.shape[:-1] + (dim,))
     for m, (hm, gm) in enumerate(basis.filters.T):
-        out[(even + m) % dim] += hm * alpha + gm * beta
+        out[..., (even + m) % dim] += hm * alpha + gm * beta
     return out
 
 
 def _forward_step(basis: WaveletBasis, scaling: np.ndarray):
     """One periodic analysis step (Mallat 1989), the adjoint of _inverse_step:
     level-(j + 1) scaling coefficients a to the level-j alpha_k = sum_m h_m
-    a_{2k+m} and beta_k = sum_m g_m a_{2k+m}, with 2k + m wrapped mod 2^(j+1)."""
-    dim = len(scaling)
-    taps = scaling[(np.arange(0, dim, 2) + np.arange(basis.filters.shape[1])[:, None]) % dim]
-    return (basis.filters[:, :, None] * taps).sum(axis=1)
+    a_{2k+m} and beta_k = sum_m g_m a_{2k+m}, with 2k + m wrapped mod 2^(j+1),
+    along the last axis."""
+    dim = scaling.shape[-1]
+    taps = scaling[..., (np.arange(0, dim, 2) + np.arange(basis.filters.shape[1])[:, None]) % dim]
+    out = (basis.filters[:, :, None] * taps[..., None, :, :]).sum(axis=-2)
+    return out[..., 0, :], out[..., 1, :]
 
 
 def _lift(basis: WaveletBasis, tree: CoefficientTree):
     """The inverse periodic DWT of ``tree``: its top level J = jmax + 1 (j0
     when the tree has no detail levels) and the 2^J scaling coefficients
-    there, whose father series equals the tree's series."""
+    there, whose father series equals the tree's series; a stacked tree
+    lifts row by row."""
     alpha = tree.alpha
     for b in tree.beta:
         alpha = _inverse_step(basis, alpha, b)
@@ -394,11 +415,21 @@ def synthesize(basis: WaveletBasis, tree: CoefficientTree, grid_size: int) -> np
             f"grid_size={grid_size} cannot resolve levels up to {tree.jmax}"
         )
     top, alpha = _lift(basis, tree)
-    # Every level-J cell holds the same midpoint offsets, so the values at the
-    # first cell's midpoints serve all of them: cell c sees translate (c - m) mod 2^J.
+    return _grid_series(alpha, _first_cell(basis, top, grid_size))
+
+
+def _first_cell(basis: WaveletBasis, top: int, grid_size: int) -> np.ndarray:
+    """Level-``top`` father values at the midpoints of the first level-top
+    cell of the ``grid_size`` grid, one row per contributing translate."""
     first_cell = (np.arange(grid_size >> top) + 0.5) / grid_size
-    _, val = _level_terms(basis, "father", top, first_cell)
-    return sum(np.outer(np.roll(alpha, m), v) for m, v in enumerate(val)).ravel()
+    return _level_terms(basis, "father", top, first_cell)[1]
+
+
+def _grid_series(alpha: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """Grid values of the father series of one row of level-J scaling
+    coefficients ``alpha``, given ``_first_cell``'s values: every level-J cell
+    holds the same midpoint offsets, so cell c sees translate (c - m) mod 2^J."""
+    return sum(np.outer(np.roll(alpha, m), v) for m, v in enumerate(cell)).ravel()
 
 
 def exact_coefficients(

@@ -14,6 +14,7 @@ import argparse
 import json
 import platform
 import sys
+import warnings
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import make_basis, midpoint_grid, synthesize
+from .basis import coarsest_level, make_basis, midpoint_grid, synthesize
 from .design import density_from_spec, read_sample_csv, write_csv
 from .estimator import SampleSizeError, blockshrink
 from .harness import (_MAX_RISK_GRID, ConfigError, ExperimentConfig, run_diagnostics,
@@ -110,6 +111,10 @@ def _cmd_basis(args) -> int:
 def _cmd_fit(args) -> int:
     if not 1 <= args.grid <= _MAX_RISK_GRID or args.grid & (args.grid - 1):
         raise ConfigError(f"--grid={args.grid} must be a power of two up to {_MAX_RISK_GRID}")
+    try:
+        coarsest_level(args.basis)
+    except ValueError as exc:
+        raise ValueError(f"--basis: {exc}") from exc
     basis = make_basis(args.basis, args.refine_depth)
     out_dir = Path(args.out_dir)
     try:
@@ -121,7 +126,10 @@ def _cmd_fit(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--density: {exc}") from exc
     try:
-        est = blockshrink(sample, density, basis, args.p, args.d)
+        with warnings.catch_warnings():
+            # a clamped coarse level is reported in the summary line below
+            warnings.filterwarnings("ignore", "coarse level", RuntimeWarning)
+            est = blockshrink(sample, density, basis, args.p, args.d)
     except SampleSizeError as exc:
         raise ValueError(f"--input: sample file {args.input}: {exc}") from exc
     try:
@@ -149,8 +157,9 @@ def _cmd_fit(args) -> int:
     )
     manifest.add_output(blocks_path)
     manifest.write()
+    clamped = " (coarse level clamped)" if est.grid.clamped else ""
     print(
-        f"fit n={sample.n}: levels {est.grid.j_low}..{est.grid.j_high}, "
+        f"fit n={sample.n}: levels {est.grid.j_low}..{est.grid.j_high}{clamped}, "
         f"block size {est.grid.block_size}; wrote {est_path} and {blocks_path}"
     )
     return 0

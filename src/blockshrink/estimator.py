@@ -168,7 +168,9 @@ def threshold_tree(raw: CoefficientTree, grid: BlockGrid, rule: str, constant: f
     block_statistic) reaches constant / sqrt(n) and zeroes it otherwise.
     ``"hard"`` and ``"soft"`` threshold each detail coefficient at
     constant * sqrt(ln n / n); soft also shrinks survivors toward zero by
-    that cut.  Scaling coefficients are never thresholded.
+    that cut.  Scaling coefficients are never thresholded.  A stacked
+    ``raw`` is thresholded row by row, along the last axis: ``kept`` and
+    ``statistics`` then carry the same leading axes.
     """
     n, p = grid.n, grid.p
     if rule == "block":
@@ -190,13 +192,13 @@ def threshold_tree(raw: CoefficientTree, grid: BlockGrid, rule: str, constant: f
         stat = block_statistics(level, edges, p)
         if rule == "block":
             mask = stat >= cut
-            level[~np.repeat(mask, sizes)] = 0.0
+            level[~np.repeat(mask, sizes, axis=-1)] = 0.0
         else:
             if rule == "hard":
                 level[np.abs(level) < cut] = 0.0
             else:
                 level[:] = np.sign(level) * np.maximum(np.abs(level) - cut, 0.0)
-            mask = np.add.reduceat(level != 0.0, starts) > 0
+            mask = np.add.reduceat(level != 0.0, starts, axis=-1) > 0
         kept.append(mask)
         statistics.append(stat)
     return Estimate(tree=tree, grid=grid, cut=cut, kept=kept, statistics=statistics)

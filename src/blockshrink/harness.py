@@ -10,6 +10,13 @@ statistic of the deviations >= mu/2 sqrt(n)) <= 4 n^{-p}.
 Everything is deterministic given the master seed: replication seeds derive
 from (master_seed, n, replication index), so enlarging the n grid never
 perturbs existing replications, and thread count does not affect results.
+
+Each n runs in two stages.  The per-replication stage (seed, draw, weights,
+and the scaling sums one level above the finest) runs on the worker threads.
+The per-n stage stacks those sums in replication order as an (R, 2^(j+1))
+matrix and runs the analysis filter bank, the finiteness check, and each
+rule's thresholding and lift once on the whole stack; only the risk-grid
+values are computed one replication at a time.
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import (_coefficient_tree, check_refine_depth, coarsest_level, make_basis,
-                    midpoint_grid, synthesize)
+from .basis import (CoefficientTree, _analysis, _first_cell, _grid_series, _lift,
+                    _scaling_sums, check_refine_depth, coarsest_level, make_basis,
+                    midpoint_grid)
 from .besov import ball_from_spec, make_test_function, rate_spec, signal_spec
 from .design import DesignDensity, density_from_spec, generate_sample
 from .estimator import _weights, block_grid, block_statistics, threshold_tree
@@ -190,15 +198,18 @@ def _materialize(config: ExperimentConfig):
     return basis, density, signal
 
 
-def _replicate(config: ExperimentConfig, basis, grid, density, signal, kernel,
-               threads: int) -> list:
-    """``kernel(tree)`` of every replication at ``grid.n``, in replication order,
-    on up to ``threads`` workers (at most one per CPU).
+def _replicate(config: ExperimentConfig, basis, grid, density, signal,
+               threads: int) -> CoefficientTree:
+    """The stacked coefficient trees of every replication at ``grid.n``:
+    row rep of each array holds replication rep's tree on the grid's levels.
 
-    Replication rep draws its sample from its own seed; ``tree`` holds the
-    sample's reweighted coefficient sums on the grid's levels, with g read
-    off the draw, summed in the order the seed drew the points.  The seed
+    Only the per-replication stage runs on up to ``threads`` workers (at
+    most one per CPU): replication rep draws its sample from its own seed,
+    reads g off the draw, and sums its reweighted scaling functions at
+    ``grid.j_high + 1`` in the order the seed drew the points.  The seed
     fixes that order, so no sort is needed for results to replay exactly.
+    The analysis steps then run once on the stack of sums, in replication
+    order, and each row comes out as the replication's tree alone would.
     """
     if threads < 1:
         raise ConfigError(f"threads={threads} must be at least 1")
@@ -207,14 +218,15 @@ def _replicate(config: ExperimentConfig, basis, grid, density, signal, kernel,
     def one(rep: int):
         seed = replication_seed(config.master_seed, grid.n, rep)
         sample = generate_sample(signal.fn, density, grid.n, seed, noiseless=config.noiseless)
-        w = _weights(sample, sample.g, density)
-        return kernel(_coefficient_tree(basis, grid.j_low, grid.j_high, sample.x, w))
+        return _scaling_sums(basis, grid.j_high + 1, sample.x, _weights(sample, sample.g, density))
 
     reps = range(config.replications)
     if workers == 1:
-        return [one(rep) for rep in reps]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, reps))
+        sums = [one(rep) for rep in reps]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            sums = list(pool.map(one, reps))
+    return _analysis(basis, grid.j_low, grid.j_high, np.stack(sums))
 
 
 def _check_slope_grid(config: ExperimentConfig) -> None:
@@ -267,15 +279,14 @@ def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RiskRepor
 
     def risks_at(n):
         grid = block_grid(n, config.p, basis.coarsest_level)
-
-        def score(tree):
-            return [
-                lp_risk(synthesize(basis, threshold_tree(tree, grid, rule, c).tree,
-                                   config.risk_grid), truth, config.p)
-                for rule, c in rules
-            ]
-
-        return np.array(_replicate(config, basis, grid, density, signal, score, threads))
+        stack = _replicate(config, basis, grid, density, signal, threads)
+        cell = _first_cell(basis, grid.j_high + 1, config.risk_grid)
+        risks = np.empty((R, len(rules)))
+        for i, (rule, c) in enumerate(rules):
+            _, lifted = _lift(basis, threshold_tree(stack, grid, rule, c).tree)
+            risks[:, i] = [lp_risk(_grid_series(alpha, cell), truth, config.p)
+                           for alpha in lifted]
+        return risks
 
     risks = {n: risks_at(n) for n in ns}
     means = [float(risks[n][:, 0].mean()) for n in ns]
@@ -369,17 +380,14 @@ def coefficient_deviations(
     """Coefficient errors beta_hat - beta of every replication at n.
 
     Returns {j: (replications, 2^j) matrix} for each estimator level j at n
-    up to the signal's jmax.  Each sample is drawn once and its coefficient
-    tree computed once, in the order drawn, so several checks share one pass.
+    up to the signal's jmax.  Each sample is drawn once and its scaling sums
+    computed once, in the order drawn, so several checks share one pass.
     """
     grid = block_grid(n, config.p, basis.coarsest_level)
     levels = range(grid.j_low, min(grid.j_high, signal.tree.jmax) + 1)
 
-    def deviations(tree):
-        return [tree.detail(j) - signal.tree.detail(j) for j in levels]
-
-    rows = _replicate(config, basis, grid, density, signal, deviations, threads)
-    return {j: np.array([row[i] for row in rows]) for i, j in enumerate(levels)}
+    stack = _replicate(config, basis, grid, density, signal, threads)
+    return {j: stack.detail(j) - signal.tree.detail(j) for j in levels}
 
 
 def _score_moment(config: ExperimentConfig, devs: dict) -> MomentReport:

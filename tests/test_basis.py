@@ -15,7 +15,7 @@ from blockshrink import (
     midpoint_grid,
     synthesize,
 )
-from blockshrink.basis import _level_terms
+from blockshrink.basis import _analysis, _forward_step, _inverse_step, _level_terms, _lift
 from oracles import direct_coefficients, direct_evaluate
 
 SQRT2 = math.sqrt(2.0)
@@ -249,6 +249,20 @@ class TestCoefficientTree:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("edit,message", [
+        (lambda a, beta: (np.where(np.arange(12).reshape(3, 4) == 6, np.nan, a), beta),
+         "finite"),
+        (lambda a, beta: (a, [beta[0], beta[1], np.zeros((3, 15))]),
+         r"level 4 must hold 16 values per tree of the \(3,\) stack"),
+        (lambda a, beta: (a[:2], beta), r"level 2 must hold 4 values per tree of the \(2,\) stack"),
+    ], ids=["one-row-nan", "last-axis-length", "row-count"])
+    def test_stack_construction_validates(self, edit, message):
+        rng = np.random.default_rng(5)
+        alpha, beta = edit(rng.normal(size=(3, 4)), [rng.normal(size=(3, 1 << j))
+                                                     for j in (2, 3, 4)])
+        with pytest.raises(ValueError, match=message):
+            CoefficientTree(2, 4, alpha, beta)
+
+    @pytest.mark.parametrize("edit,message", [
         (lambda a, beta: (a[:2], beta), "alpha must hold 4 values"),
         (lambda a, beta: (a, beta[:2]), "one array per level"),
         (lambda a, beta: (a, [beta[0], beta[1][:4], beta[2]]), "level 3 must hold 8 values"),
@@ -351,6 +365,45 @@ class TestEvaluateTree:
         np.testing.assert_allclose(
             evaluate_tree(basis, tree, x), synthesize(basis, tree, 1 << 12), rtol=0, atol=1e-14
         )
+
+
+@pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+class TestStackedFilterBank:
+    """Each step on an (R, .) stack equals the same step applied row by row."""
+
+    R = 7
+
+    def test_forward_step(self, request, family):
+        basis = request.getfixturevalue(family)
+        rng = np.random.default_rng(30)
+        for j in range(basis.coarsest_level, 9):
+            stack = rng.normal(size=(self.R, 2 << j))
+            alpha, beta = _forward_step(basis, stack)
+            for row, a, b in zip(stack, alpha, beta):
+                want_a, want_b = _forward_step(basis, row)
+                assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+
+    def test_inverse_step(self, request, family):
+        basis = request.getfixturevalue(family)
+        rng = np.random.default_rng(31)
+        for j in range(basis.coarsest_level, 9):
+            alpha, beta = rng.normal(size=(2, self.R, 1 << j))
+            lifted = _inverse_step(basis, alpha, beta)
+            for i in range(self.R):
+                assert np.array_equal(lifted[i], _inverse_step(basis, alpha[i], beta[i]))
+
+    def test_analysis_and_lift(self, request, family):
+        basis = request.getfixturevalue(family)
+        j0 = basis.coarsest_level
+        stack = np.random.default_rng(32).normal(size=(self.R, 1 << 9))
+        tree = _analysis(basis, j0, 8, stack)
+        top, lifted = _lift(basis, tree)
+        for i, row in enumerate(stack):
+            alone = _analysis(basis, j0, 8, row)
+            for got, want in zip([tree.alpha[i], *(b[i] for b in tree.beta)],
+                                 [alone.alpha, *alone.beta], strict=True):
+                assert np.array_equal(got, want)
+            assert top == 9 and np.array_equal(lifted[i], _lift(basis, alone)[1])
 
 
 class TestRoundTrip:

@@ -472,7 +472,8 @@ def test_fit_grid_too_small_names_grid(tmp_path, capsys):
     (["--density", "foo"], "--density: density 'foo': unknown density spec"),
     (["--density", "linear-tilt:3"], "--density: density 'linear-tilt:3'"),
     (["--grid", "4"], "--grid: grid_size=4 cannot resolve"),
-], ids=["input-missing", "density-unknown", "density-slope", "grid-too-small"])
+    (["--basis", "bogus"], "--basis: unknown wavelet family 'bogus'; supported: db4, db6, haar"),
+], ids=["input-missing", "density-unknown", "density-slope", "grid-too-small", "basis-unknown"])
 def test_fit_error_names_its_flag_and_makes_no_out_dir(tmp_path, capsys, extra, flag):
     csv = tmp_path / "sample.csv"
     _write_sample(csv)
@@ -481,6 +482,20 @@ def test_fit_error_names_its_flag_and_makes_no_out_dir(tmp_path, capsys, extra, 
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_fit_reports_a_clamped_coarse_level_in_its_summary(tmp_path, capsys):
+    """At n = 40 and p = 3 the coarse level is clamped: fit says so on its
+    summary line and lets no RuntimeWarning out."""
+    rng = np.random.default_rng(1)
+    csv = tmp_path / "tiny.csv"
+    write_csv(csv, "x,y", rng.random(40), rng.normal(size=40))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--input", str(csv), "--p", "3", "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 0 and "RuntimeWarning" not in err
+    assert "levels 1..1 (coarse level clamped)" in out
 
 
 # Edits of one row of an otherwise valid sample: benign ones (a blank line,
@@ -504,7 +519,7 @@ _FIT_FLAGS = {
     "--density": st.sampled_from(["uniform", "linear-tilt:0.5", "linear-tilt:-2",
                                   "piecewise:0.5:0.5,1.5", "piecewise:0.5:1,2", "foo", "",
                                   "linear-tilt:nan"]),
-    "--basis": st.sampled_from(["haar", "db4", "db6"]),
+    "--basis": st.sampled_from(["haar", "db4", "db6", "bogus"]),
     "--p": st.sampled_from(["2", "3", "1", "nan", "x"]),
     "--d": st.sampled_from(["0", "4", "-1", "inf"]),
     "--grid": st.sampled_from(["1024", "4096", "4", "1000", str(1 << 21), "x"]),
@@ -520,7 +535,6 @@ _FLAG_PATTERNS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:coarse level .* clamping:RuntimeWarning")
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(n=st.sampled_from([0, 2, 40, 2048]), seed=st.integers(0, 2**32 - 1),

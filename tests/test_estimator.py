@@ -453,6 +453,35 @@ class TestTermThreshold:
             _term_estimate(s, haar, "firm", 1.0)
 
 
+class TestStackedThreshold:
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    @pytest.mark.parametrize("rule,constant", [("block", 4.0), ("hard", 2.0), ("soft", 2.0)])
+    def test_rows_equal_the_rule_applied_row_by_row(self, request, family, rule, constant):
+        """threshold_tree on a stack of replication trees gives, row by row,
+        the tree, kept masks and statistics of each tree thresholded alone."""
+        basis = request.getfixturevalue(family)
+        sig = make_test_function("doppler", basis, jmax=8)
+        grid = block_grid(4096, 2.0, basis.coarsest_level)
+        trees = [
+            empirical_coefficients(generate_sample(sig.fn, uniform_design(), 4096, seed),
+                                   uniform_design(), basis, grid)
+            for seed in range(5)
+        ]
+        stack = CoefficientTree(grid.j_low, grid.j_high, np.stack([t.alpha for t in trees]),
+                                [np.stack(level) for level in zip(*(t.beta for t in trees))])
+        est = threshold_tree(stack, grid, rule, constant)
+        for i, tree in enumerate(trees):
+            alone = threshold_tree(tree, grid, rule, constant)
+            assert est.cut == alone.cut
+            for got, want in zip([est.tree.alpha[i], *(b[i] for b in est.tree.beta),
+                                  *(k[i] for k in est.kept), *(s[i] for s in est.statistics)],
+                                 [alone.tree.alpha, *alone.tree.beta, *alone.kept,
+                                  *alone.statistics], strict=True):
+                assert np.array_equal(got, want)
+        kept = sum(int(k.sum()) for k in est.kept)
+        assert 0 < kept < sum(k.size for k in est.kept)
+
+
 class TestStructuralSweep:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # clamping expected
     def test_randomized_invariants(self, haar):

@@ -433,17 +433,18 @@ class TestReplicate:
         grid = block_grid(256, config.p, basis.coarsest_level)
 
         def run(threads):
-            return harness._replicate(config, basis, grid, density, signal,
-                                      lambda tree: tree.alpha[0], threads)
+            stack = harness._replicate(config, basis, grid, density, signal, threads)
+            return np.concatenate([stack.alpha, *stack.beta], axis=-1)
 
         serial = run(1)
+        assert serial.shape == (50, 1 << (grid.j_high + 1))
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-        assert run(10**6) == serial
-        assert run(3) == serial
+        assert np.array_equal(run(10**6), serial)
+        assert np.array_equal(run(3), serial)
         assert pools == [4, 3]
         for cpus in (1, None):
             monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-            assert run(10**6) == serial
+            assert np.array_equal(run(10**6), serial)
         assert pools == [4, 3]
 
 
@@ -466,9 +467,9 @@ def _engine(density):
 @pytest.mark.parametrize("density", sorted(_ENGINE_DENSITIES))
 class TestReplicationChecks:
     def test_each_check_runs_once_per_replication(self, monkeypatch, density):
-        """Per replication: x is range-checked once (by the Sample), pdf is
-        never called, and one tree is validated however often the kernel
-        copies it (threshold_tree copies it once per rule)."""
+        """Per replication x is range-checked once (by the Sample) and pdf is
+        never called; the stack of all 50 trees is validated once, however
+        often it is copied (threshold_tree copies it once per rule)."""
         config, basis, grid, dens, signal = _engine(density)
         calls = Counter()
         for cls, name in ((DesignDensity, "pdf"), (Sample, "__post_init__"),
@@ -480,12 +481,25 @@ class TestReplicationChecks:
 
             monkeypatch.setattr(cls, name, spy)
 
-        def kernel(tree):
-            return [threshold_tree(tree, grid, rule, 2.0).tree.alpha[0]
-                    for rule in ("block", "hard", "soft")]
+        stack = harness._replicate(config, basis, grid, dens, signal, 1)
+        for rule in ("block", "hard", "soft"):
+            threshold_tree(stack, grid, rule, 2.0)
+        assert calls == {"Sample.__post_init__": 50, "CoefficientTree.__post_init__": 1}
 
-        harness._replicate(config, basis, grid, dens, signal, kernel, 1)
-        assert calls == {"Sample.__post_init__": 50, "CoefficientTree.__post_init__": 50}
+    @pytest.mark.parametrize("rep", [0, 31, 49])
+    def test_non_finite_coefficient_in_one_replication_raises(self, monkeypatch, density, rep):
+        config, basis, grid, dens, signal = _engine(density)
+        bad_seed = harness.replication_seed(config.master_seed, 256, rep)
+
+        def one_nan(f, density, n, seed, noiseless=False):
+            sample = generate_sample(f, density, n, seed, noiseless=noiseless)
+            if seed == bad_seed:
+                sample.y[7] = np.nan
+            return sample
+
+        monkeypatch.setattr(harness, "generate_sample", one_nan)
+        with pytest.raises(ValueError, match="finite"):
+            harness._replicate(config, basis, grid, dens, signal, 1)
 
     @pytest.mark.parametrize("side", ["low", "high"])
     def test_drawn_g_outside_its_bounds_raises(self, monkeypatch, density, side):
@@ -498,7 +512,7 @@ class TestReplicationChecks:
 
         monkeypatch.setattr(DesignDensity, "draw", broken)
         with pytest.raises(RuntimeError, match="certified bounds"):
-            harness._replicate(config, basis, grid, dens, signal, lambda tree: 0.0, 1)
+            harness._replicate(config, basis, grid, dens, signal, 1)
 
 
 class TestCalibration:
