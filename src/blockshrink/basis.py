@@ -305,25 +305,38 @@ def _level_terms(basis: WaveletBasis, kind: str, j: int, x: np.ndarray):
     t - k0 + m, which lies in [m, m + 1).  The support is [0, support_length],
     so only m = 0 .. support_length - 1 can be nonzero; periodization is the
     wrap k mod 2^j.  Returns arrays of shape (support_length, len(x)).
+
+    One floor serves both scales: q = floor(2^(j + depth) x) gives the
+    translate k0 = q >> depth, the table cell q mod 2^depth of t - k0 and the
+    exact interpolation weight 2^(j + depth) x - q.  Haar reads no table, so
+    its depth is 0 and the weight is t - k0 itself.
     """
     s = basis.support_length
-    t = np.ldexp(x, j)
-    k0 = np.floor(t).astype(np.int64)
-    f = t - k0
-    idx = (k0 - np.arange(s)[:, None]) & ((1 << j) - 1)
+    depth = 0 if basis.family == "haar" else basis.refine_depth
+    v = np.ldexp(x, j + depth)
+    q = np.floor(v)
+    frac = v - q
+    q = q.astype(np.int64)
+    idx = np.subtract(q >> depth, np.arange(s)[:, None])
+    idx &= (1 << j) - 1
     amp = 2.0 ** (j / 2.0)
     if basis.family == "haar":
-        return idx, amp * basis.base(kind, f)[None, :]
-    # One table position and weight per point: row m reads the cell m * 2^depth on.
+        return idx, amp * basis.base(kind, frac)[None, :]
+    # Row m reads the table from cell m * 2^depth on, at cells i and i + 1;
+    # every such cell exists, so "clip" only spares take its bounds check.
     table = basis.phi_table if kind == "father" else basis.psi_table
-    u = np.ldexp(f, basis.refine_depth)
-    i = np.floor(u).astype(np.int64)
-    frac = u - i
+    i = q & ((1 << depth) - 1)
     rest = 1.0 - frac
     val = np.empty((s, x.size))
+    hi = np.empty(x.size)
     for m in range(s):
-        cell = i + (m << basis.refine_depth)
-        val[m] = amp * (table[cell] * rest + table[cell + 1] * frac)
+        row = val[m]
+        table[m << depth:].take(i, out=row, mode="clip")
+        row *= rest
+        table[(m << depth) + 1:].take(i, out=hi, mode="clip")
+        hi *= frac
+        row += hi
+        row *= amp
     return idx, val
 
 
@@ -331,7 +344,8 @@ def _scaling_sums(basis: WaveletBasis, j: int, x, w) -> np.ndarray:
     """The weighted sums sum_i w_i phi_{j,k}(x_i) of the 2^j level-j scaling
     translates, accumulated in the order of ``x``."""
     idx, val = _level_terms(basis, "father", j, x)
-    return np.bincount(idx.ravel(), weights=(val * w).ravel(), minlength=1 << j)
+    val *= w
+    return np.bincount(idx.ravel(), weights=val.ravel(), minlength=1 << j)
 
 
 def _analysis(basis: WaveletBasis, j0: int, jmax: int, scaling: np.ndarray) -> CoefficientTree:

@@ -14,7 +14,6 @@ import argparse
 import json
 import platform
 import sys
-import warnings
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,7 +23,7 @@ import numpy as np
 from . import __version__
 from .basis import coarsest_level, make_basis, midpoint_grid, synthesize
 from .design import density_from_spec, read_sample_csv, write_csv
-from .estimator import SampleSizeError, blockshrink
+from .estimator import SampleSizeError, block_grid, blockshrink
 from .harness import (_MAX_RISK_GRID, ConfigError, ExperimentConfig, run_diagnostics,
                       run_rate_experiment)
 
@@ -126,10 +125,7 @@ def _cmd_fit(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--density: {exc}") from exc
     try:
-        with warnings.catch_warnings():
-            # a clamped coarse level is reported in the summary line below
-            warnings.filterwarnings("ignore", "coarse level", RuntimeWarning)
-            est = blockshrink(sample, density, basis, args.p, args.d)
+        est = blockshrink(sample, density, basis, args.p, args.d)
     except SampleSizeError as exc:
         raise ValueError(f"--input: sample file {args.input}: {exc}") from exc
     try:
@@ -177,6 +173,14 @@ def _start_run(args):
     return config, out_dir, manifest
 
 
+def _print_clamped(config: ExperimentConfig) -> None:
+    """Name the sizes of ``n_grid`` whose coarse level was clamped to the fine one."""
+    j0 = coarsest_level(config.basis_family)
+    clamped = [str(n) for n in config.n_grid if block_grid(n, config.p, j0).clamped]
+    if clamped:
+        print(f"coarse level clamped at n={', '.join(clamped)}")
+
+
 def _cmd_rates(args) -> int:
     config, out_dir, manifest = _start_run(args)
     report = run_rate_experiment(config, threads=args.threads)
@@ -197,6 +201,7 @@ def _cmd_rates(args) -> int:
     print(f"signal {report.meta['signal']}, zone {report.zone}")
     for n, risk, err in zip(report.n_grid, report.mean_risk, report.stderr):
         print(f"  n={n:>7d}  mean risk {risk:.6g} +- {err:.2g}")
+    _print_clamped(config)
     print(
         f"slope {report.slope:.4f} (se {report.slope_stderr:.4f}) vs theory "
         f"{report.theory_risk_exponent:.4f} -> {'PASS' if report.passed else 'FAIL'}"
@@ -228,6 +233,7 @@ def _cmd_diagnose(args) -> int:
     )
     manifest.add_output(csv_path)
     manifest.write()
+    _print_clamped(config)
     print(
         f"moment decay at (j={moment.j}, k={moment.k}): slope {moment.slope:.4f} "
         f"vs {moment.theory_exponent} -> {'PASS' if moment.passed else 'FAIL'}"

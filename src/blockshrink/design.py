@@ -30,15 +30,13 @@ class DesignDensity:
 
     def pdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if np.any((x < 0.0) | (x > 1.0)):
+        if x.size and (x.min() < 0.0 or x.max() > 1.0):
             raise ValueError("density evaluated outside [0, 1]")
         if self.kind == "uniform":
             return np.ones_like(x)
         if self.kind == "linear-tilt":
             return 1.0 - 0.5 * self.slope + self.slope * x
-        edges = np.asarray(self.breaks)
-        vals = np.asarray(self.values)
-        return vals[np.searchsorted(edges, x, side="right")]
+        return np.asarray(self.values)[_segment(self.breaks, x)]
 
     def ppf(self, u) -> np.ndarray:
         """Inverse CDF; maps [0, 1) onto [0, 1)."""
@@ -56,7 +54,7 @@ class DesignDensity:
             x = (np.sqrt(b * b + 2.0 * a * u) - b) / a
             return x, b + a * x
         cuts, lefts, prevs, vals = self._segments
-        seg = np.searchsorted(cuts, u, side="right")
+        seg = _segment(cuts, u)
         g = vals[seg]
         return lefts[seg] + (u - prevs[seg]) / g, g
 
@@ -68,6 +66,17 @@ class DesignDensity:
             mid = np.linspace(lo, hi, 257)[:-1] + (hi - lo) / 512.0
             total += float(np.mean(self.pdf(mid)) * (hi - lo))
         return total
+
+
+def _segment(edges, u) -> np.ndarray:
+    """The segment of each u between sorted ``edges``: the number of edges at
+    or below it, which is ``searchsorted(edges, u, side="right")`` for every
+    u but NaN (a NaN reaches no edge).  A design has a few edges, so one
+    comparison per edge beats a binary search per point."""
+    seg = np.zeros(np.shape(u), dtype=np.intp)
+    for edge in edges:
+        seg += u >= edge
+    return seg
 
 
 def uniform_design() -> DesignDensity:
@@ -167,7 +176,7 @@ class Sample:
     def __post_init__(self):
         if len(self.x) != self.n or len(self.y) != self.n:
             raise ValueError("x and y must both hold n values")
-        if np.any((self.x < 0.0) | (self.x > 1.0)):
+        if self.x.size and (self.x.min() < 0.0 or self.x.max() > 1.0):
             raise ValueError("design points must lie in [0, 1]")
 
 

@@ -13,7 +13,6 @@ Classical term-by-term hard/soft thresholding of the same tree
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,19 +76,10 @@ def block_grid(n: int, p: float, min_level: int = 0) -> BlockGrid:
             f"n={n} too small for this basis: finest usable level {j_high} lies "
             f"below the coarsest periodized level {min_level}"
         )
-    clamped = False
     j_low = max(j_low, min_level)
-    if j_low > j_high:
-        warnings.warn(
-            f"coarse level {j_low} exceeds fine level {j_high} at n={n}; clamping",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        j_low = j_high
-        clamped = True
-    return BlockGrid(
-        n=n, p=float(p), block_size=block_size, j_low=j_low, j_high=j_high, clamped=clamped
-    )
+    clamped = j_low > j_high
+    return BlockGrid(n=n, p=float(p), block_size=block_size, j_low=min(j_low, j_high),
+                     j_high=j_high, clamped=clamped)
 
 
 def block_statistic(coeffs, p: float) -> float:
@@ -109,7 +99,7 @@ def block_statistics(coeffs, edges, p: float) -> np.ndarray:
 
 def _weights(sample: Sample, g, density: DesignDensity) -> np.ndarray:
     """y_i / (n g(x_i)), once g has passed the density's certified bounds."""
-    if np.any(g < density.g_min - 1e-12) or np.any(g > density.g_max + 1e-12):
+    if g.size and (g.min() < density.g_min - 1e-12 or g.max() > density.g_max + 1e-12):
         raise RuntimeError("density evaluation escaped its certified bounds")
     return sample.y / (g * sample.n)
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -127,11 +126,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"basis_family: {exc}") from exc
         check_refine_depth(self.basis_family, self.refine_depth)
-        with warnings.catch_warnings():
-            # p and each n must give a block geometry; clamping is the run's to report
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for n in ns:
-                block_grid(n, self.p, j0)
+        for n in ns:  # p and each n must give a block geometry
+            block_grid(n, self.p, j0)
         signal_spec(self.signal, j0, self.jmax)
         try:
             ball = ball_from_spec(self.ball)

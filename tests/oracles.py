@@ -1,23 +1,50 @@
 """Direct per-level sums and series evaluation: the oracles of the filter bank;
-and the direct inverse CDF: the oracle of the design draw.
+the direct per-point basis values: the oracle of ``basis._level_terms``; and
+the direct inverse CDF: the oracle of the design draw.
 
 The package computes every coefficient tree as scaling sums one level above
 the finest detail level plus the periodic analysis filter bank, and every
 series value by lifting the tree to its top level.  These helpers do it the
 slow way, one level at a time with the mother functions, so the tests can
-check the fast path against them.  ``direct_ppf`` finds each point's segment
-with the full cumulative masses and clips it, as the sampler once did.
+check the fast path against them.  ``direct_level_terms`` floors each point
+twice, once per scale, and builds an index array per table row.
+``direct_ppf`` finds each point's segment with the full cumulative masses and
+clips it, as the sampler once did.
 """
 
 import numpy as np
 
 from blockshrink import CoefficientTree, midpoint_grid
-from blockshrink.basis import _level_terms
+
+
+def direct_level_terms(basis, kind, j, x):
+    """Contributing (wrapped translate index, value) pairs of level j at x,
+    of shape (support_length, len(x)): translate k0 - m, with k0 = floor(2^j x),
+    read at 2^j x - k0 + m by linear interpolation in the table (Haar in
+    closed form)."""
+    s = basis.support_length
+    t = np.ldexp(x, j)
+    k0 = np.floor(t).astype(np.int64)
+    f = t - k0
+    idx = (k0 - np.arange(s)[:, None]) & ((1 << j) - 1)
+    amp = 2.0 ** (j / 2.0)
+    if basis.family == "haar":
+        return idx, amp * basis.base(kind, f)[None, :]
+    table = basis.phi_table if kind == "father" else basis.psi_table
+    u = np.ldexp(f, basis.refine_depth)
+    i = np.floor(u).astype(np.int64)
+    frac = u - i
+    rest = 1.0 - frac
+    val = np.empty((s, x.size))
+    for m in range(s):
+        cell = i + (m << basis.refine_depth)
+        val[m] = amp * (table[cell] * rest + table[cell + 1] * frac)
+    return idx, val
 
 
 def direct_sums(basis, kind, j, x, w):
     """Per-translate weighted sums sum_i w_i f_{j,k}(x_i) for k = 0 .. 2^j - 1."""
-    idx, val = _level_terms(basis, kind, j, x)
+    idx, val = direct_level_terms(basis, kind, j, x)
     return np.bincount(idx.ravel(), weights=(val * w).ravel(), minlength=1 << j)
 
 
@@ -35,10 +62,10 @@ def direct_coefficients(basis, values, j0, jmax):
 def direct_evaluate(basis, tree, x):
     """The tree's series at x, summed level by level."""
     x = np.mod(np.asarray(x, dtype=float), 1.0)
-    idx, val = _level_terms(basis, "father", tree.j0, x)
+    idx, val = direct_level_terms(basis, "father", tree.j0, x)
     out = np.einsum("mi,mi->i", tree.alpha[idx], val)
     for i, b in enumerate(tree.beta):
-        idx, val = _level_terms(basis, "mother", tree.j0 + i, x)
+        idx, val = direct_level_terms(basis, "mother", tree.j0 + i, x)
         out += np.einsum("mi,mi->i", b[idx], val)
     return out
 

@@ -281,7 +281,6 @@ def test_criterion_7_rate_calculator_exact():
     assert ok
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_criterion_8_structural_invariants():
     """200 randomized cases of the structural estimator invariants."""
     basis = make_basis("haar", 12)

@@ -15,8 +15,9 @@ from blockshrink import (
     midpoint_grid,
     synthesize,
 )
-from blockshrink.basis import _analysis, _forward_step, _inverse_step, _level_terms, _lift
-from oracles import direct_coefficients, direct_evaluate
+from blockshrink.basis import (_analysis, _forward_step, _inverse_step, _level_terms, _lift,
+                               _scaling_sums)
+from oracles import direct_coefficients, direct_evaluate, direct_level_terms, direct_sums
 
 SQRT2 = math.sqrt(2.0)
 
@@ -151,6 +152,31 @@ class TestLevelTerms:
                 assert val.shape == idx.shape == (s, x.size)
                 np.testing.assert_allclose(val / 2.0 ** (j / 2.0), oracle[:s], rtol=0, atol=1e-13)
                 np.testing.assert_array_equal(idx, (k0 - np.arange(s)[:, None]) % (1 << j))
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    def test_equals_the_direct_terms_exactly(self, request, family):
+        """One floor at the table's scale gives the translate, the cell and
+        the weight that flooring at each scale gives: indices, values and the
+        weighted sums are bit-identical to the oracle's."""
+        basis = request.getfixturevalue(family)
+        rng = np.random.default_rng(14)
+        depth = basis.refine_depth
+        for j in range(basis.coarsest_level, 11):
+            cells = np.ldexp(rng.integers(0, 1 << (j + depth), 512), -(j + depth))
+            x = np.concatenate([
+                rng.random(2048),  # full mantissas
+                cells,  # table nodes
+                np.arange(1 << j) / (1 << j),  # dyadic cell edges of level j
+                np.nextafter(np.arange(1, (1 << j) + 1) / (1 << j), 0.0),  # just below them
+                [0.0, np.nextafter(1.0, 0.0), 1.0],
+            ])
+            w = rng.standard_normal(x.size)
+            for kind in ("father", "mother"):
+                idx, val = _level_terms(basis, kind, j, x)
+                want_idx, want_val = direct_level_terms(basis, kind, j, x)
+                assert np.array_equal(idx, want_idx) and np.array_equal(val, want_val)
+            assert np.array_equal(_scaling_sums(basis, j, x, w),
+                                  direct_sums(basis, "father", j, x, w))
 
 
 class TestConcentration:

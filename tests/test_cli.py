@@ -72,7 +72,7 @@ class TestParseConfig:
             parse_config(write_config(tmp_path / "c.json", n_grid=[128, 512]))
 
     def test_block_clamping_not_warned_at_parse_time(self, tmp_path):
-        # p = 4 clamps j_low at n = 1024; the run warns, parsing does not
+        # p = 4 clamps j_low at n = 1024; neither parsing nor the run warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cfg = parse_config(write_config(tmp_path / "c.json", p=4, n_grid=[1024, 2048]))
@@ -638,3 +638,23 @@ def test_write_csv_matches_row_writer(tmp_path):
         write_csv(tmp_path / "columns.csv", header, *(col[:m] for col in columns))
         _write_rows_oracle(tmp_path / "rows.csv", header, zip(*(col[:m] for col in columns)))
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, overrides, clamped", [
+    ("rates", {"p": 3}, "n=256, 1024"),
+    ("diagnose", {"p": 3, "n_grid": [512, 1024, 1536], "moment_level": 3, "conc_level": 3},
+     "n=1024, 1536"),
+])
+def test_run_names_each_clamped_sample_size(tmp_path, capsys, command, overrides, clamped):
+    """rates and diagnose name the sizes whose coarse level was clamped on
+    their summary, let no RuntimeWarning out, and keep it out of the report."""
+    cfg = write_config(tmp_path / "c.json", **overrides)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(cfg), "--out-dir", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code in (0, 1) and err == ""
+    assert f"coarse level clamped at {clamped}\n" in stdout
+    report = "report.json" if command == "rates" else "diagnostics.json"
+    assert "clamp" not in (out / report).read_text()

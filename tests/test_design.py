@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blockshrink import (
+    Sample,
     density_from_spec,
     generate_sample,
     linear_tilt_design,
@@ -48,6 +49,15 @@ class TestPdf:
     def test_outside_domain(self):
         with pytest.raises(ValueError, match="outside"):
             uniform_design().pdf(1.5)
+
+    @pytest.mark.parametrize("name", ["piecewise-2", "piecewise-4"])
+    def test_piecewise_break_takes_the_right_hand_value(self, name):
+        density = _DRAW_DESIGNS[name]
+        got = density.pdf(np.array(density.breaks))
+        assert np.array_equal(got, density.values[1:])
+        below = density.pdf(np.nextafter(np.array(density.breaks), 0.0))
+        assert np.array_equal(below, density.values[:-1])
+        assert density.pdf(0.0) == density.values[0] and density.pdf(1.0) == density.values[-1]
 
     def test_bounds_certified(self):
         for g in (uniform_design(), linear_tilt_design(0.5), piecewise_design([0.3], [0.5, 17 / 14])):
@@ -113,6 +123,9 @@ class TestDraw:
         x, g = density.draw(_masses(density)[:-1])
         assert np.array_equal(x, density.breaks) and np.array_equal(g, density.pdf(x))
 
+    def test_ppf_of_nan_is_nan(self, name):
+        assert np.isnan(_DRAW_DESIGNS[name].ppf(np.array([0.5, np.nan]))[1])
+
     def test_sample_carries_the_drawn_g(self, name):
         density = _DRAW_DESIGNS[name]
         s = generate_sample(np.sin, density, 4096, seed=17)
@@ -157,6 +170,26 @@ class TestSampling:
     def test_needs_positive_n(self):
         with pytest.raises(ValueError):
             _design(uniform_design(), 0, seed=1)
+
+
+class TestSampleRange:
+    @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2.0**-52])
+    @pytest.mark.parametrize("at", [0, 500, -1])
+    def test_point_outside_unit_interval(self, bad, at):
+        x = np.random.default_rng(4).random(1001)
+        x[at] = bad
+        with pytest.raises(ValueError, match=r"design points must lie in \[0, 1\]"):
+            Sample(1001, x, np.zeros(1001))
+
+    def test_both_ends_admitted(self):
+        assert Sample(2, np.array([0.0, 1.0]), np.zeros(2)).n == 2
+
+    def test_empty_sample(self):
+        # an empty array has no range to check
+        assert Sample(0, np.empty(0), np.empty(0)).n == 0
+        # Sample takes arrays: a list is refused
+        with pytest.raises((TypeError, AttributeError)):
+            Sample(0, [], [])
 
 
 class TestGenerateSample:
