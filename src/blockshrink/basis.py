@@ -313,15 +313,17 @@ def _level_terms(basis: WaveletBasis, kind: str, j: int, x: np.ndarray):
     """
     s = basis.support_length
     depth = 0 if basis.family == "haar" else basis.refine_depth
-    v = np.ldexp(x, j + depth)
-    q = np.floor(v)
-    frac = v - q
+    frac = np.ldexp(x, j + depth)
+    q = np.floor(frac)
+    frac -= q
     q = q.astype(np.int64)
     idx = np.subtract(q >> depth, np.arange(s)[:, None])
     idx &= (1 << j) - 1
     amp = 2.0 ** (j / 2.0)
     if basis.family == "haar":
-        return idx, amp * basis.base(kind, frac)[None, :]
+        val = basis.base(kind, frac)[None, :]
+        val *= amp
+        return idx, val
     # Row m reads the table from cell m * 2^depth on, at cells i and i + 1;
     # every such cell exists, so "clip" only spares take its bounds check.
     table = basis.phi_table if kind == "father" else basis.psi_table
@@ -429,7 +431,7 @@ def synthesize(basis: WaveletBasis, tree: CoefficientTree, grid_size: int) -> np
             f"grid_size={grid_size} cannot resolve levels up to {tree.jmax}"
         )
     top, alpha = _lift(basis, tree)
-    return _grid_series(alpha, _first_cell(basis, top, grid_size))
+    return _grid_series(alpha, _first_cell(basis, top, grid_size), np.empty(grid_size))
 
 
 def _first_cell(basis: WaveletBasis, top: int, grid_size: int) -> np.ndarray:
@@ -439,11 +441,19 @@ def _first_cell(basis: WaveletBasis, top: int, grid_size: int) -> np.ndarray:
     return _level_terms(basis, "father", top, first_cell)[1]
 
 
-def _grid_series(alpha: np.ndarray, cell: np.ndarray) -> np.ndarray:
+def _grid_series(alpha: np.ndarray, cell: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Grid values of the father series of one row of level-J scaling
-    coefficients ``alpha``, given ``_first_cell``'s values: every level-J cell
-    holds the same midpoint offsets, so cell c sees translate (c - m) mod 2^J."""
-    return sum(np.outer(np.roll(alpha, m), v) for m, v in enumerate(cell)).ravel()
+    coefficients ``alpha``, given ``_first_cell``'s values, written into and
+    returned as ``out``: every level-J cell holds the same midpoint offsets,
+    so cell c sees translate (c - m) mod 2^J.  The terms are summed from +0.0
+    in translate order, so even the sign of a zero is fixed."""
+    view = out.reshape(len(alpha), -1)
+    np.copyto(view, alpha[:, None])  # then a contiguous product, faster than a broadcast one
+    view *= cell[0]
+    view += 0.0  # 0.0 + the first term: a -0.0 becomes +0.0
+    for m in range(1, len(cell)):
+        view += np.roll(alpha, m)[:, None] * cell[m]
+    return out
 
 
 def exact_coefficients(

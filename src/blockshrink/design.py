@@ -30,7 +30,7 @@ class DesignDensity:
 
     def pdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.size and (x.min() < 0.0 or x.max() > 1.0):
+        if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails too
             raise ValueError("density evaluated outside [0, 1]")
         if self.kind == "uniform":
             return np.ones_like(x)
@@ -176,7 +176,7 @@ class Sample:
     def __post_init__(self):
         if len(self.x) != self.n or len(self.y) != self.n:
             raise ValueError("x and y must both hold n values")
-        if self.x.size and (self.x.min() < 0.0 or self.x.max() > 1.0):
+        if self.x.size and not (self.x.min() >= 0.0 and self.x.max() <= 1.0):  # NaN fails too
             raise ValueError("design points must lie in [0, 1]")
 
 

@@ -98,8 +98,9 @@ def block_statistics(coeffs, edges, p: float) -> np.ndarray:
 
 
 def _weights(sample: Sample, g, density: DesignDensity) -> np.ndarray:
-    """y_i / (n g(x_i)), once g has passed the density's certified bounds."""
-    if g.size and (g.min() < density.g_min - 1e-12 or g.max() > density.g_max + 1e-12):
+    """y_i / (n g(x_i)), once g has passed the density's certified bounds
+    (a NaN fails them)."""
+    if g.size and not (g.min() >= density.g_min - 1e-12 and g.max() <= density.g_max + 1e-12):
         raise RuntimeError("density evaluation escaped its certified bounds")
     return sample.y / (g * sample.n)
 

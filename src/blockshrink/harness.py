@@ -16,7 +16,8 @@ and the scaling sums one level above the finest) runs on the worker threads.
 The per-n stage stacks those sums in replication order as an (R, 2^(j+1))
 matrix and runs the analysis filter bank, the finiteness check, and each
 rule's thresholding and lift once on the whole stack; only the risk-grid
-values are computed one replication at a time.
+values are computed one replication at a time, each written into and scored
+in place in one risk-grid buffer that the run allocates once.
 """
 
 from __future__ import annotations
@@ -151,7 +152,28 @@ def lp_risk(estimate_values, truth_values, p: float) -> float:
         raise ValueError("estimate and truth grids differ in length")
     if a.size < 1024:
         raise ValueError("risk grid must hold at least 1024 points")
-    return float(np.mean(np.abs(a - b) ** p))
+    return _lp_mean(a - b, p)
+
+
+def _lp_mean(diff: np.ndarray, p: float) -> float:
+    """mean |diff|^p, overwriting ``diff`` with |diff|^p on the way."""
+    if p != 2:  # a square needs no abs: d * d and |d| * |d| are the same bits
+        np.abs(diff, out=diff)
+    diff **= p
+    return float(diff.sum()) / diff.size
+
+
+def _grid_risks(lifted: np.ndarray, cell: np.ndarray, truth: np.ndarray, p: float,
+                buf: np.ndarray) -> np.ndarray:
+    """The l^p risk against ``truth`` of the grid series of each row of level-J
+    scaling coefficients ``lifted`` (see ``basis._grid_series``), one row at
+    a time, each written into and scored in place in ``buf``."""
+    risks = np.empty(len(lifted))
+    for r, alpha in enumerate(lifted):
+        _grid_series(alpha, cell, buf)
+        buf -= truth
+        risks[r] = _lp_mean(buf, p)
+    return risks
 
 
 def fit_rate(points):
@@ -214,7 +236,9 @@ def _replicate(config: ExperimentConfig, basis, grid, density, signal,
     def one(rep: int):
         seed = replication_seed(config.master_seed, grid.n, rep)
         sample = generate_sample(signal.fn, density, grid.n, seed, noiseless=config.noiseless)
-        return _scaling_sums(basis, grid.j_high + 1, sample.x, _weights(sample, sample.g, density))
+        x, w = sample.x, _weights(sample, sample.g, density)
+        del sample  # y and g are spent: free them before the sums' temporaries
+        return _scaling_sums(basis, grid.j_high + 1, x, w)
 
     reps = range(config.replications)
     if workers == 1:
@@ -272,6 +296,7 @@ def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RiskRepor
     rules = [("block", config.d)]
     if config.compare_term:
         rules += [("hard", config.term_c), ("soft", config.term_c)]
+    buf = np.empty(config.risk_grid)
 
     def risks_at(n):
         grid = block_grid(n, config.p, basis.coarsest_level)
@@ -280,8 +305,7 @@ def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RiskRepor
         risks = np.empty((R, len(rules)))
         for i, (rule, c) in enumerate(rules):
             _, lifted = _lift(basis, threshold_tree(stack, grid, rule, c).tree)
-            risks[:, i] = [lp_risk(_grid_series(alpha, cell), truth, config.p)
-                           for alpha in lifted]
+            risks[:, i] = _grid_risks(lifted, cell, truth, config.p, buf)
         return risks
 
     risks = {n: risks_at(n) for n in ns}

@@ -1,6 +1,7 @@
 """Direct per-level sums and series evaluation: the oracles of the filter bank;
-the direct per-point basis values: the oracle of ``basis._level_terms``; and
-the direct inverse CDF: the oracle of the design draw.
+the direct per-point basis values: the oracle of ``basis._level_terms``; the
+sum of outer products: the oracle of ``basis._grid_series``; and the direct
+inverse CDF: the oracle of the design draw.
 
 The package computes every coefficient tree as scaling sums one level above
 the finest detail level plus the periodic analysis filter bank, and every
@@ -8,8 +9,9 @@ series value by lifting the tree to its top level.  These helpers do it the
 slow way, one level at a time with the mother functions, so the tests can
 check the fast path against them.  ``direct_level_terms`` floors each point
 twice, once per scale, and builds an index array per table row.
-``direct_ppf`` finds each point's segment with the full cumulative masses and
-clips it, as the sampler once did.
+``outer_series`` adds one freshly allocated outer product per translate,
+as the grid series once did.  ``direct_ppf`` finds each point's segment
+with the full cumulative masses and clips it, as the sampler once did.
 """
 
 import numpy as np
@@ -68,6 +70,14 @@ def direct_evaluate(basis, tree, x):
         idx, val = direct_level_terms(basis, "mother", tree.j0 + i, x)
         out += np.einsum("mi,mi->i", b[idx], val)
     return out
+
+
+def outer_series(alpha, cell):
+    """Grid values of the father series of the level-J scaling coefficients
+    ``alpha`` from ``basis._first_cell``'s values, as Python's ``sum`` of one
+    outer product per translate: it starts from the integer 0, so a -0.0
+    term comes out as +0.0."""
+    return sum(np.outer(np.roll(alpha, m), v) for m, v in enumerate(cell)).ravel()
 
 
 def direct_ppf(density, u):

@@ -15,9 +15,10 @@ from blockshrink import (
     midpoint_grid,
     synthesize,
 )
-from blockshrink.basis import (_analysis, _forward_step, _inverse_step, _level_terms, _lift,
-                               _scaling_sums)
-from oracles import direct_coefficients, direct_evaluate, direct_level_terms, direct_sums
+from blockshrink.basis import (_analysis, _first_cell, _forward_step, _grid_series,
+                               _inverse_step, _level_terms, _lift, _scaling_sums)
+from oracles import (direct_coefficients, direct_evaluate, direct_level_terms, direct_sums,
+                     outer_series)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -361,6 +362,26 @@ class TestSynthesize:
         assert np.max(np.abs(
             synthesize(basis, coarse, grid) - direct_evaluate(basis, coarse, midpoint_grid(grid))
         )) <= tol
+
+
+class TestGridSeries:
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    @pytest.mark.parametrize("top,grid", [(4, 1 << 10), (6, 1 << 14)])
+    def test_equals_the_sum_of_outer_products_byte_for_byte(self, request, family, top, grid):
+        """Written into a reused buffer, the series holds the same bytes as
+        the sum of fresh outer products, the sign of every zero included."""
+        basis = request.getfixturevalue(family)
+        cell = _first_cell(basis, top, grid)
+        rng = np.random.default_rng(top)
+        out = np.full(grid, np.nan)
+        for _ in range(3):
+            alpha = rng.standard_normal(1 << top)
+            alpha[::3] = -0.0
+            alpha[1::5] = 0.0
+            got = _grid_series(alpha, cell, out)
+            assert got is out
+            assert out.tobytes() == outer_series(alpha, cell).tobytes()
+        assert not np.signbit(_grid_series(np.full(1 << top, -0.0), cell, out)).any()
 
 
 class TestEvaluateTree:

@@ -50,6 +50,16 @@ class TestPdf:
         with pytest.raises(ValueError, match="outside"):
             uniform_design().pdf(1.5)
 
+    @pytest.mark.parametrize("at", [0, 500, -1])
+    @pytest.mark.parametrize("density", [uniform_design(), linear_tilt_design(0.5),
+                                         piecewise_design([0.5], [0.6, 1.4])],
+                             ids=["uniform", "tilt", "piecewise"])
+    def test_nan_is_outside_domain(self, density, at):
+        x = np.random.default_rng(4).random(1001)
+        x[at] = np.nan
+        with pytest.raises(ValueError, match=r"density evaluated outside \[0, 1\]"):
+            density.pdf(x)
+
     @pytest.mark.parametrize("name", ["piecewise-2", "piecewise-4"])
     def test_piecewise_break_takes_the_right_hand_value(self, name):
         density = _DRAW_DESIGNS[name]
@@ -173,7 +183,7 @@ class TestSampling:
 
 
 class TestSampleRange:
-    @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2.0**-52])
+    @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2.0**-52, np.nan])
     @pytest.mark.parametrize("at", [0, 500, -1])
     def test_point_outside_unit_interval(self, bad, at):
         x = np.random.default_rng(4).random(1001)

@@ -273,6 +273,24 @@ class TestEmpiricalCoefficients:
         with pytest.raises(RuntimeError, match="certified bounds"):
             empirical_coefficients(s, BrokenDensity(), haar, grid)
 
+    @pytest.mark.parametrize("at", [0, 256, -1])
+    def test_nan_g_escapes_its_bounds(self, at):
+        density = piecewise_design([0.5], [0.6, 1.4])
+        s = generate_sample(np.sin, density, 512, seed=2)
+        g = s.g.copy()
+        g[at] = np.nan
+        with pytest.raises(RuntimeError, match="certified bounds"):
+            _weights(s, g, density)
+
+    @pytest.mark.parametrize("at", [0, 512, -1])
+    def test_nan_design_point_never_reaches_the_sums(self, haar, at):
+        """A NaN written into a checked sample's x stops at the density; the
+        Haar sums once dropped the point with only a cast warning."""
+        s = generate_sample(np.sin, uniform_design(), 1024, seed=6)
+        s.x[at] = np.nan
+        with pytest.raises(ValueError, match=r"density evaluated outside \[0, 1\]"):
+            empirical_coefficients(s, uniform_design(), haar, block_grid(1024, 2.0, 0))
+
     @pytest.mark.parametrize("side", ["below", "above"])
     def test_g_escaping_its_bounds_at_the_last_point(self, side):
         density = piecewise_design([0.5], [0.6, 1.4])

@@ -1,6 +1,7 @@
 """Risk computation, rate fitting, and the Monte Carlo diagnostics."""
 
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -32,7 +33,7 @@ from blockshrink import (
     wilson_upper,
 )
 from blockshrink import harness
-from blockshrink.basis import _coefficient_tree
+from blockshrink.basis import _coefficient_tree, _first_cell, _lift
 from blockshrink.estimator import _weights
 
 
@@ -57,6 +58,57 @@ class TestLpRisk:
     def test_minimum_grid(self):
         with pytest.raises(ValueError, match="1024"):
             lp_risk(np.zeros(512), np.zeros(512), 2.0)
+
+
+class TestGridRisks:
+    """``_grid_risks`` scores the rows of a lifted stack one at a time in one
+    reused buffer; each risk must be the row's own synthesized risk exactly."""
+
+    R = 8
+    GRID = 1 << 12
+
+    def _lifted(self, basis, n, p, rule, constant):
+        """The lifted (R, 2^J) stack of one rule at n, its first cell and the truth."""
+        config = ExperimentConfig(basis_family=basis.family, p=p, replications=self.R,
+                                  master_seed=5)
+        signal = make_test_function("heavisine", basis, config.jmax)
+        grid = block_grid(n, p, basis.coarsest_level)
+        stack = harness._replicate(config, basis, grid, linear_tilt_design(0.5), signal, 1)
+        tree = threshold_tree(stack, grid, rule, constant).tree
+        top, lifted = _lift(basis, tree)
+        truth = signal.fn(midpoint_grid(self.GRID))
+        return tree, lifted, _first_cell(basis, top, self.GRID), truth
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    @pytest.mark.parametrize("p", [2, 3, 3.0])
+    @pytest.mark.parametrize("rule,constant", [("block", 4.0), ("soft", 2.0)])
+    def test_each_row_is_its_synthesized_risk(self, request, family, p, rule, constant):
+        basis = request.getfixturevalue(family)
+        tree, lifted, cell, truth = self._lifted(basis, 4096, p, rule, constant)
+        got = harness._grid_risks(lifted, cell, truth, p, np.empty(self.GRID))
+        rows = [
+            synthesize(basis, CoefficientTree(tree.j0, tree.jmax, tree.alpha[r],
+                                              [b[r] for b in tree.beta]), self.GRID)
+            for r in range(self.R)
+        ]
+        assert got.tolist() == [lp_risk(values, truth, p) for values in rows]
+        # the formula written out, with fresh temporaries
+        assert got.tolist() == [float(np.mean(np.abs(values - truth) ** p)) for values in rows]
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    def test_reused_buffer_holds_nothing_over(self, request, family):
+        """Rule A at one n, then rule B at another in the same buffer, gives
+        B's risks as B scored alone in a buffer of NaNs."""
+        basis = request.getfixturevalue(family)
+        _, lifted_a, cell_a, truth = self._lifted(basis, 4096, 2, "block", 4.0)
+        _, lifted_b, cell_b, _ = self._lifted(basis, 1024, 2, "soft", 2.0)
+        buf = np.empty(self.GRID)
+        first_a = harness._grid_risks(lifted_a, cell_a, truth, 2, buf)
+        after_a = harness._grid_risks(lifted_b, cell_b, truth, 2, buf)
+        alone = harness._grid_risks(lifted_b, cell_b, truth, 2, np.full(self.GRID, np.nan))
+        assert after_a.tolist() == alone.tolist()
+        assert harness._grid_risks(lifted_a, cell_a, truth, 2, buf).tolist() == first_a.tolist()
+        assert np.all(np.isfinite(alone)) and lifted_a.shape[-1] != lifted_b.shape[-1]
 
 
 class TestFitRate:
@@ -446,6 +498,27 @@ class TestReplicate:
             monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
             assert np.array_equal(run(10**6), serial)
         assert pools == [4, 3]
+
+
+    def test_working_set_of_one_replication(self):
+        """At n = 2^14 a replication holds at most about six n-length arrays at
+        once.  Ten made glibc trim and regrow the heap on every replication of
+        the README config: about 25k minor page faults per run."""
+        n = 1 << 14
+        config = ExperimentConfig(density={"kind": "linear-tilt", "slope": 0.5},
+                                  n_grid=(n,), replications=50)
+        basis, density, signal = harness._materialize(config)
+        grid = block_grid(n, config.p, basis.coarsest_level)
+        config = replace(config, replications=2)
+        harness._replicate(config, basis, grid, density, signal, 1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            harness._replicate(config, basis, grid, density, signal, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 8 * n
 
 
 # One design of each kind for the engine's per-replication checks.
