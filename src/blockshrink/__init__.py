@@ -54,7 +54,6 @@ from .harness import (
     RiskReport,
     calibrate_threshold,
     fit_rate,
-    lp_risk,
     replication_seed,
     run_diagnostics,
     run_rate_experiment,

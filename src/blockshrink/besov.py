@@ -17,14 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import (
-    CoefficientTree,
-    WaveletBasis,
-    _level_terms,
-    evaluate_tree,
-    exact_coefficients,
-    midpoint_grid,
-)
+from .basis import CoefficientTree, WaveletBasis, evaluate_tree, exact_coefficients, midpoint_grid
 
 INF = math.inf
 
@@ -213,33 +206,15 @@ SIGNAL_NAMES = tuple(sorted((*_NORMALIZED, *_RAW)))
 
 @dataclass(eq=False)
 class TestFunction:
-    """A target function with its coefficient tree and boundedness certificate."""
+    """A target function with its values on a midpoint grid, its coefficient
+    tree and, for a ``random_besov`` signal, its Besov ball and radius."""
 
     name: str
     fn: object
     values: np.ndarray
     tree: CoefficientTree
-    sup_bound: float
     ball: BesovBall = None
     ball_radius: float = None
-
-
-def _translate_l1_sup(basis: WaveletBasis, kind: str, j: int) -> float:
-    """Grid sup of sum_k |f_{j,k}(x)|, the level's pointwise l^1 envelope."""
-    x = midpoint_grid(1 << max(10, j + 4))
-    _, val = _level_terms(basis, kind, j, x)
-    return float(np.abs(val).sum(axis=0).max())
-
-
-def _sup_certificate(basis: WaveletBasis, tree: CoefficientTree) -> float:
-    """Upper bound for the sup norm of the tree's series via level l^1 envelopes."""
-    total = _translate_l1_sup(basis, "father", tree.j0) * np.max(
-        np.abs(tree.alpha), initial=0.0
-    )
-    for i, b in enumerate(tree.beta):
-        j = tree.j0 + i
-        total += _translate_l1_sup(basis, "mother", j) * np.max(np.abs(b), initial=0.0)
-    return float(total)
 
 
 def signal_spec(spec, j0: int, jmax: int) -> dict:
@@ -315,7 +290,6 @@ def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunctio
             fn=fn,
             values=fn(midpoint_grid(grid_size)),
             tree=tree,
-            sup_bound=_sup_certificate(basis, tree),
             ball=ball,
             ball_radius=radius,
         )
@@ -332,10 +306,4 @@ def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunctio
         fn = _RAW[name]
     values = fn(midpoint_grid(grid_size))
     tree = exact_coefficients(basis, values, j0, jmax)
-    return TestFunction(
-        name=name,
-        fn=fn,
-        values=values,
-        tree=tree,
-        sup_bound=float(np.max(np.abs(values))),
-    )
+    return TestFunction(name=name, fn=fn, values=values, tree=tree)

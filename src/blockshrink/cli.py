@@ -162,8 +162,13 @@ def _cmd_fit(args) -> int:
 
 
 def _start_run(args):
-    """Shared start of ``rates`` and ``diagnose``: parse ``--config``, apply
-    ``--seed``, create ``--out-dir`` and open the manifest before the run."""
+    """Shared start of ``rates`` and ``diagnose``: check ``--threads`` and
+    ``--seed``, parse ``--config``, apply ``--seed``, create ``--out-dir`` and
+    open the manifest before the run."""
+    if args.threads < 1:
+        raise ConfigError(f"threads={args.threads} must be at least 1")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed={args.seed} must be non-negative")
     config = parse_config(args.config)
     if args.seed is not None:
         config.master_seed = args.seed
@@ -183,7 +188,7 @@ def _print_clamped(config: ExperimentConfig) -> None:
 
 def _cmd_rates(args) -> int:
     config, out_dir, manifest = _start_run(args)
-    report = run_rate_experiment(config, threads=args.threads)
+    report = run_rate_experiment(config)
     json_path = out_dir / "report.json"
     json_path.write_text(json.dumps(asdict(report), indent=2) + "\n")
     manifest.add_output(json_path)
@@ -219,7 +224,7 @@ def _cmd_rates(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     config, out_dir, manifest = _start_run(args)
-    moment, conc = run_diagnostics(config, threads=args.threads)
+    moment, conc = run_diagnostics(config)
     json_path = out_dir / "diagnostics.json"
     json_path.write_text(
         json.dumps({"moment": asdict(moment), "concentration": asdict(conc)}, indent=2) + "\n"
@@ -278,7 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, parents=[common], help=help_text)
         q.add_argument("--config", required=True)
         q.add_argument("--seed", type=int, default=None, help="override master seed")
-        q.add_argument("--threads", type=int, default=1, help="worker threads (at least 1)")
+        q.add_argument("--threads", type=int, default=1,
+                       help="a run uses one thread; accepted (at least 1) with no effect "
+                            "until perfbench stops passing it")
         q.set_defaults(func=fn)
     return parser
 

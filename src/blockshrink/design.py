@@ -38,13 +38,10 @@ class DesignDensity:
             return 1.0 - 0.5 * self.slope + self.slope * x
         return np.asarray(self.values)[_segment(self.breaks, x)]
 
-    def ppf(self, u) -> np.ndarray:
-        """Inverse CDF; maps [0, 1) onto [0, 1)."""
-        return self.draw(u)[0]
-
     def draw(self, u):
-        """The design points x = ppf(u) and the density g at them, read off
-        the inverse-CDF segment each u falls in, so no point is searched twice."""
+        """The design points x, the inverse CDF at u (mapping [0, 1) onto
+        [0, 1)), and the density g at them, read off the inverse-CDF segment
+        each u falls in, so no point is searched twice."""
         u = np.asarray(u, dtype=float)
         if self.kind == "uniform":
             return u, np.ones_like(u)
@@ -57,15 +54,6 @@ class DesignDensity:
         seg = _segment(cuts, u)
         g = vals[seg]
         return lefts[seg] + (u - prevs[seg]) / g, g
-
-    def integral_check(self) -> float:
-        """Quadrature value of the total mass, exact per linear segment."""
-        edges = [0.0, 1.0] if self.kind != "piecewise" else [0.0, *self.breaks, 1.0]
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid = np.linspace(lo, hi, 257)[:-1] + (hi - lo) / 512.0
-            total += float(np.mean(self.pdf(mid)) * (hi - lo))
-        return total
 
 
 def _segment(edges, u) -> np.ndarray:

@@ -9,23 +9,21 @@ statistic of the deviations >= mu/2 sqrt(n)) <= 4 n^{-p}.
 
 Everything is deterministic given the master seed: replication seeds derive
 from (master_seed, n, replication index), so enlarging the n grid never
-perturbs existing replications, and thread count does not affect results.
+perturbs existing replications.
 
-Each n runs in two stages.  The per-replication stage (seed, draw, weights,
-and the scaling sums one level above the finest) runs on the worker threads.
-The per-n stage stacks those sums in replication order as an (R, 2^(j+1))
-matrix and runs the analysis filter bank, the finiteness check, and each
-rule's thresholding and lift once on the whole stack; only the risk-grid
-values are computed one replication at a time, each written into and scored
-in place in one risk-grid buffer that the run allocates once.
+Each n runs in two stages, on one thread.  The per-replication stage (seed,
+draw, weights, and the scaling sums one level above the finest) runs once
+per replication, in replication order.  The per-n stage stacks those sums
+as an (R, 2^(j+1)) matrix and runs the analysis filter bank, the finiteness
+check, and each rule's thresholding and lift once on the whole stack; only
+the risk-grid values are computed one replication at a time, each written
+into and scored in place in one risk-grid buffer that the run allocates once.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -40,7 +38,7 @@ from .estimator import _weights, block_grid, block_statistics, threshold_tree
 _Z95 = 1.959963984540054
 # Largest risk grid: 2^20 midpoints (8 MiB of doubles per evaluated function).
 _MAX_RISK_GRID = 1 << 20
-# Largest sample size: one db6 replication at 2^20 peaks near 0.2 GB per thread.
+# Largest sample size: one db6 replication at 2^20 peaks near 0.2 GB.
 _MAX_SAMPLE = 1 << 20
 
 # Accepted Python types per annotated field type; bool is never a number here.
@@ -144,17 +142,6 @@ def replication_seed(master_seed: int, n: int, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def lp_risk(estimate_values, truth_values, p: float) -> float:
-    """Integrated p-th power error between two midpoint-grid functions."""
-    a = np.asarray(estimate_values, dtype=float)
-    b = np.asarray(truth_values, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("estimate and truth grids differ in length")
-    if a.size < 1024:
-        raise ValueError("risk grid must hold at least 1024 points")
-    return _lp_mean(a - b, p)
-
-
 def _lp_mean(diff: np.ndarray, p: float) -> float:
     """mean |diff|^p, overwriting ``diff`` with |diff|^p on the way."""
     if p != 2:  # a square needs no abs: d * d and |d| * |d| are the same bits
@@ -216,22 +203,17 @@ def _materialize(config: ExperimentConfig):
     return basis, density, signal
 
 
-def _replicate(config: ExperimentConfig, basis, grid, density, signal,
-               threads: int) -> CoefficientTree:
+def _replicate(config: ExperimentConfig, basis, grid, density, signal) -> CoefficientTree:
     """The stacked coefficient trees of every replication at ``grid.n``:
     row rep of each array holds replication rep's tree on the grid's levels.
 
-    Only the per-replication stage runs on up to ``threads`` workers (at
-    most one per CPU): replication rep draws its sample from its own seed,
-    reads g off the draw, and sums its reweighted scaling functions at
-    ``grid.j_high + 1`` in the order the seed drew the points.  The seed
-    fixes that order, so no sort is needed for results to replay exactly.
-    The analysis steps then run once on the stack of sums, in replication
-    order, and each row comes out as the replication's tree alone would.
+    Replication rep draws its sample from its own seed, reads g off the
+    draw, and sums its reweighted scaling functions at ``grid.j_high + 1``
+    in the order the seed drew the points.  The seed fixes that order, so
+    no sort is needed for results to replay exactly.  The analysis steps
+    then run once on the stack of sums, in replication order, and each row
+    comes out as the replication's tree alone would.
     """
-    if threads < 1:
-        raise ConfigError(f"threads={threads} must be at least 1")
-    workers = min(threads, os.cpu_count() or 1)
 
     def one(rep: int):
         seed = replication_seed(config.master_seed, grid.n, rep)
@@ -240,12 +222,7 @@ def _replicate(config: ExperimentConfig, basis, grid, density, signal,
         del sample  # y and g are spent: free them before the sums' temporaries
         return _scaling_sums(basis, grid.j_high + 1, x, w)
 
-    reps = range(config.replications)
-    if workers == 1:
-        sums = [one(rep) for rep in reps]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(one, reps))
+    sums = [one(rep) for rep in range(config.replications)]
     return _analysis(basis, grid.j_low, grid.j_high, np.stack(sums))
 
 
@@ -276,7 +253,7 @@ class RiskReport:
     meta: dict
 
 
-def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RiskReport:
+def run_rate_experiment(config: ExperimentConfig) -> RiskReport:
     """Monte Carlo risk-decay experiment against the theoretical exponent.
 
     For each n the block estimator is fit on R independent replications and
@@ -300,7 +277,7 @@ def run_rate_experiment(config: ExperimentConfig, threads: int = 1) -> RiskRepor
 
     def risks_at(n):
         grid = block_grid(n, config.p, basis.coarsest_level)
-        stack = _replicate(config, basis, grid, density, signal, threads)
+        stack = _replicate(config, basis, grid, density, signal)
         cell = _first_cell(basis, grid.j_high + 1, config.risk_grid)
         risks = np.empty((R, len(rules)))
         for i, (rule, c) in enumerate(rules):
@@ -394,9 +371,7 @@ def _check_diagnose_ranges(config: ExperimentConfig) -> None:
                 )
 
 
-def coefficient_deviations(
-    config: ExperimentConfig, n: int, basis, density, signal, threads: int = 1
-) -> dict:
+def coefficient_deviations(config: ExperimentConfig, n: int, basis, density, signal) -> dict:
     """Coefficient errors beta_hat - beta of every replication at n.
 
     Returns {j: (replications, 2^j) matrix} for each estimator level j at n
@@ -406,7 +381,7 @@ def coefficient_deviations(
     grid = block_grid(n, config.p, basis.coarsest_level)
     levels = range(grid.j_low, min(grid.j_high, signal.tree.jmax) + 1)
 
-    stack = _replicate(config, basis, grid, density, signal, threads)
+    stack = _replicate(config, basis, grid, density, signal)
     return {j: stack.detail(j) - signal.tree.detail(j) for j in levels}
 
 
@@ -499,9 +474,7 @@ def _score_concentration(config: ExperimentConfig, devs: dict) -> ConcentrationR
     )
 
 
-def run_diagnostics(
-    config: ExperimentConfig, threads: int = 1
-) -> tuple[MomentReport, ConcentrationReport]:
+def run_diagnostics(config: ExperimentConfig) -> tuple[MomentReport, ConcentrationReport]:
     """The moment and concentration checks on the config's diagnose fields.
 
     Both fields' ranges are checked at every n before any sample is drawn;
@@ -511,7 +484,7 @@ def run_diagnostics(
     _check_slope_grid(config)
     _check_diagnose_ranges(config)
     devs = {
-        int(n): coefficient_deviations(config, int(n), basis, density, signal, threads)
+        int(n): coefficient_deviations(config, int(n), basis, density, signal)
         for n in config.n_grid
     }
     return _score_moment(config, devs), _score_concentration(config, devs)

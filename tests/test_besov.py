@@ -159,7 +159,7 @@ class TestMakeTestFunction:
     def test_constant_tree(self, haar):
         tf = make_test_function("constant", haar, jmax=8)
         assert tf.tree.alpha[0] == pytest.approx(1.0, abs=1e-10)
-        assert tf.sup_bound == pytest.approx(1.0)
+        assert np.max(np.abs(tf.values)) == pytest.approx(1.0)
 
     def test_doppler_normalized(self, haar):
         tf = make_test_function("doppler", haar, jmax=10)
@@ -178,8 +178,6 @@ class TestMakeTestFunction:
         tf = make_test_function({"random_besov": {"s": 2, "pi": 2, "seed": seed}}, haar, jmax=10)
         value = besov_seminorm(tf.tree, 2, 2, INF)
         assert value <= tf.ball_radius
-        assert np.isfinite(tf.sup_bound)
-        assert np.max(np.abs(tf.values)) <= tf.sup_bound + 1e-9
 
     def test_random_besov_finite_r_membership(self, haar):
         tf = make_test_function(

@@ -357,9 +357,20 @@ class TestDispatch:
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_exits_two(self, tmp_path, capsys, command, threads):
         cfg = write_config(tmp_path / "c.json", **_DIAGNOSE_OK)
-        argv = [command, "--config", str(cfg), "--threads", threads, "--out-dir", str(tmp_path)]
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--threads", threads, "--out-dir", str(out)]
         assert main(argv) == 2
         assert f"threads={threads}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rates", "diagnose"])
+    def test_negative_seed_exits_two_naming_the_flag(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.json", **_DIAGNOSE_OK)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--seed", "-1", "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_started_before_run(self, tmp_path, monkeypatch):
         called = []

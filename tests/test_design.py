@@ -8,6 +8,7 @@ from blockshrink import (
     density_from_spec,
     generate_sample,
     linear_tilt_design,
+    midpoint_grid,
     piecewise_design,
     read_sample_csv,
     uniform_design,
@@ -84,7 +85,8 @@ class TestPdf:
             linear_tilt_design(-1.2),
             piecewise_design([0.25, 0.5], [0.4, 1.2, 1.2]),
         ):
-            assert abs(g.integral_check() - 1.0) < 1e-9
+            # the midpoint rule is exact for the linear tilt and for dyadic breaks
+            assert abs(np.mean(g.pdf(midpoint_grid(1 << 16))) - 1.0) < 1e-9
 
     def test_invalid_piecewise(self):
         with pytest.raises(ValueError, match="integrates"):
@@ -120,7 +122,6 @@ class TestDraw:
         u = self._u(density)
         x, _ = density.draw(u)
         assert np.array_equal(x, direct_ppf(density, u))
-        assert np.array_equal(density.ppf(u), x)
 
     def test_g_is_the_pdf_off_the_breaks(self, name):
         density = _DRAW_DESIGNS[name]
@@ -134,7 +135,7 @@ class TestDraw:
         assert np.array_equal(x, density.breaks) and np.array_equal(g, density.pdf(x))
 
     def test_ppf_of_nan_is_nan(self, name):
-        assert np.isnan(_DRAW_DESIGNS[name].ppf(np.array([0.5, np.nan]))[1])
+        assert np.isnan(_DRAW_DESIGNS[name].draw(np.array([0.5, np.nan]))[0][1])
 
     def test_sample_carries_the_drawn_g(self, name):
         density = _DRAW_DESIGNS[name]

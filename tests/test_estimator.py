@@ -552,7 +552,7 @@ class TestMetamorphic:
     @staticmethod
     def _sample(n=2048, seed=8):
         rng = np.random.default_rng(seed)
-        x = _DESIGNS["tilt"].ppf(rng.random(n))
+        x = _DESIGNS["tilt"].draw(rng.random(n))[0]
         return Sample(n, x, np.sin(6 * x) + rng.normal(size=n))
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])

@@ -20,7 +20,6 @@ from blockshrink import (
     fit_rate,
     generate_sample,
     linear_tilt_design,
-    lp_risk,
     make_basis,
     make_test_function,
     midpoint_grid,
@@ -38,26 +37,20 @@ from blockshrink.estimator import _weights
 
 
 class TestLpRisk:
+    """``_lp_mean`` overwrites its argument, so each test passes a difference."""
+
     def test_identical_inputs(self):
         v = np.linspace(0, 1, 2048)
-        assert lp_risk(v, v, 2.0) == 0.0
+        assert harness._lp_mean(v - v, 2.0) == 0.0
 
     def test_constant_offset_exact(self):
         v = np.zeros(2048)
-        assert lp_risk(v + 0.7, v, 3.0) == pytest.approx(0.7**3, abs=1e-12)
+        assert harness._lp_mean((v + 0.7) - v, 3.0) == pytest.approx(0.7**3, abs=1e-12)
 
     def test_unit_atom_has_unit_energy(self, haar):
         x = midpoint_grid(1 << 14)
         atom = haar.eval("mother", 3, 2, x)
-        assert lp_risk(atom, np.zeros_like(atom), 2.0) == pytest.approx(1.0, abs=1e-6)
-
-    def test_mismatched_grids(self):
-        with pytest.raises(ValueError, match="grids"):
-            lp_risk(np.zeros(2048), np.zeros(1024), 2.0)
-
-    def test_minimum_grid(self):
-        with pytest.raises(ValueError, match="1024"):
-            lp_risk(np.zeros(512), np.zeros(512), 2.0)
+        assert harness._lp_mean(atom - np.zeros_like(atom), 2.0) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestGridRisks:
@@ -73,7 +66,7 @@ class TestGridRisks:
                                   master_seed=5)
         signal = make_test_function("heavisine", basis, config.jmax)
         grid = block_grid(n, p, basis.coarsest_level)
-        stack = harness._replicate(config, basis, grid, linear_tilt_design(0.5), signal, 1)
+        stack = harness._replicate(config, basis, grid, linear_tilt_design(0.5), signal)
         tree = threshold_tree(stack, grid, rule, constant).tree
         top, lifted = _lift(basis, tree)
         truth = signal.fn(midpoint_grid(self.GRID))
@@ -91,7 +84,7 @@ class TestGridRisks:
                                               [b[r] for b in tree.beta]), self.GRID)
             for r in range(self.R)
         ]
-        assert got.tolist() == [lp_risk(values, truth, p) for values in rows]
+        assert got.tolist() == [harness._lp_mean(values - truth, p) for values in rows]
         # the formula written out, with fresh temporaries
         assert got.tolist() == [float(np.mean(np.abs(values - truth) ** p)) for values in rows]
 
@@ -165,11 +158,11 @@ def small_config():
 
 class TestRunRateExperiment:
     def test_deterministic_and_thread_invariant(self, small_config):
-        a = run_rate_experiment(small_config, threads=1)
-        b = run_rate_experiment(small_config, threads=1)
-        c = run_rate_experiment(small_config, threads=4)
-        assert a.mean_risk == b.mean_risk == c.mean_risk
-        assert a.slope == b.slope == c.slope
+        """Two runs of one config replay exactly (a run uses one thread)."""
+        a = run_rate_experiment(small_config)
+        b = run_rate_experiment(small_config)
+        assert a.mean_risk == b.mean_risk
+        assert a.slope == b.slope
 
     def test_noiseless_risk_monotone(self):
         config = ExperimentConfig(
@@ -190,8 +183,8 @@ class TestRunRateExperiment:
         est = blockshrink(sample, density, haar, 2.0, 0.0)
         raw = empirical_coefficients(sample, density, haar, est.grid)
         truth = sig.fn(midpoint_grid(1 << 14))
-        r_est = lp_risk(synthesize(haar, est.tree, 1 << 14), truth, 2.0)
-        r_raw = lp_risk(synthesize(haar, raw, 1 << 14), truth, 2.0)
+        r_est = harness._lp_mean(synthesize(haar, est.tree, 1 << 14) - truth, 2.0)
+        r_raw = harness._lp_mean(synthesize(haar, raw, 1 << 14) - truth, 2.0)
         assert r_est == r_raw
 
     def test_comparison_table_descriptive(self):
@@ -244,7 +237,7 @@ class TestRunRateExperiment:
         rules = [("block", config.d), ("hard", config.term_c), ("soft", config.term_c)]
 
         def risk(tree):
-            return lp_risk(synthesize(basis, tree, config.risk_grid), truth, config.p)
+            return harness._lp_mean(synthesize(basis, tree, config.risk_grid) - truth, config.p)
 
         for i, n in enumerate(config.n_grid):
             grid = block_grid(n, config.p, basis.coarsest_level)
@@ -420,13 +413,12 @@ class TestDiagnosePass:
         assert conc == run_diagnostics(cfg(3, 3))[1]
         assert (moment.j, conc.j) == (2, 3)
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_rows_in_replication_order(self, threads):
+    def test_rows_in_replication_order(self):
         """Row rep of every deviation matrix comes from replication rep's seed."""
         config = ExperimentConfig(signal={"name": "doppler"}, n_grid=(512,), replications=50,
                                   master_seed=31)
         basis, density, signal = harness._materialize(config)
-        devs = harness.coefficient_deviations(config, 512, basis, density, signal, threads)
+        devs = harness.coefficient_deviations(config, 512, basis, density, signal)
         grid = block_grid(512, config.p, basis.coarsest_level)
         assert sorted(devs) == list(grid.levels())
         for rep in range(config.replications):
@@ -461,45 +453,6 @@ class TestDiagnosePass:
 
 
 class TestReplicate:
-    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
-        """A huge ``threads`` opens one worker per CPU, and the serial path
-        when there is one CPU; the fake pool maps serially, so no thread starts."""
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
-        config = ExperimentConfig(signal={"name": "doppler"}, n_grid=(256,), replications=50)
-        basis, density, signal = harness._materialize(config)
-        grid = block_grid(256, config.p, basis.coarsest_level)
-
-        def run(threads):
-            stack = harness._replicate(config, basis, grid, density, signal, threads)
-            return np.concatenate([stack.alpha, *stack.beta], axis=-1)
-
-        serial = run(1)
-        assert serial.shape == (50, 1 << (grid.j_high + 1))
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-        assert np.array_equal(run(10**6), serial)
-        assert np.array_equal(run(3), serial)
-        assert pools == [4, 3]
-        for cpus in (1, None):
-            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-            assert np.array_equal(run(10**6), serial)
-        assert pools == [4, 3]
-
-
     def test_working_set_of_one_replication(self):
         """At n = 2^14 a replication holds at most about six n-length arrays at
         once.  Ten made glibc trim and regrow the heap on every replication of
@@ -510,11 +463,11 @@ class TestReplicate:
         basis, density, signal = harness._materialize(config)
         grid = block_grid(n, config.p, basis.coarsest_level)
         config = replace(config, replications=2)
-        harness._replicate(config, basis, grid, density, signal, 1)
+        harness._replicate(config, basis, grid, density, signal)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            harness._replicate(config, basis, grid, density, signal, 1)
+            harness._replicate(config, basis, grid, density, signal)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -554,7 +507,7 @@ class TestReplicationChecks:
 
             monkeypatch.setattr(cls, name, spy)
 
-        stack = harness._replicate(config, basis, grid, dens, signal, 1)
+        stack = harness._replicate(config, basis, grid, dens, signal)
         for rule in ("block", "hard", "soft"):
             threshold_tree(stack, grid, rule, 2.0)
         assert calls == {"Sample.__post_init__": 50, "CoefficientTree.__post_init__": 1}
@@ -572,7 +525,7 @@ class TestReplicationChecks:
 
         monkeypatch.setattr(harness, "generate_sample", one_nan)
         with pytest.raises(ValueError, match="finite"):
-            harness._replicate(config, basis, grid, dens, signal, 1)
+            harness._replicate(config, basis, grid, dens, signal)
 
     @pytest.mark.parametrize("side", ["low", "high"])
     def test_drawn_g_outside_its_bounds_raises(self, monkeypatch, density, side):
@@ -585,7 +538,7 @@ class TestReplicationChecks:
 
         monkeypatch.setattr(DesignDensity, "draw", broken)
         with pytest.raises(RuntimeError, match="certified bounds"):
-            harness._replicate(config, basis, grid, dens, signal, 1)
+            harness._replicate(config, basis, grid, dens, signal)
 
 
 class TestCalibration:
