@@ -413,12 +413,19 @@ class TestDiagnosePass:
         assert conc == run_diagnostics(cfg(3, 3))[1]
         assert (moment.j, conc.j) == (2, 3)
 
-    def test_rows_in_replication_order(self):
-        """Row rep of every deviation matrix comes from replication rep's seed."""
+    @pytest.mark.parametrize("calls", [1, 3])
+    def test_rows_in_replication_order(self, calls):
+        """Row rep of every deviation matrix comes from replication rep's seed,
+        and a repeated call replays the same rows."""
         config = ExperimentConfig(signal={"name": "doppler"}, n_grid=(512,), replications=50,
                                   master_seed=31)
         basis, density, signal = harness._materialize(config)
-        devs = harness.coefficient_deviations(config, 512, basis, density, signal)
+        runs = [harness.coefficient_deviations(config, 512, basis, density, signal)
+                for _ in range(calls)]
+        devs = runs[-1]
+        for run in runs[:-1]:
+            assert sorted(run) == sorted(devs)
+            assert all(np.array_equal(run[j], devs[j]) for j in devs)
         grid = block_grid(512, config.p, basis.coarsest_level)
         assert sorted(devs) == list(grid.levels())
         for rep in range(config.replications):
