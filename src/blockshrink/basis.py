@@ -44,14 +44,6 @@ _FILTERS = {
     ) / (16.0 * SQRT2),
 }
 
-_ALIASES = {
-    "haar": "haar",
-    "db4": "db4",
-    "daubechies-4": "db4",
-    "db6": "db6",
-    "daubechies-6": "db6",
-}
-
 SUPPORTED_FAMILIES = tuple(sorted(_FILTERS))
 
 
@@ -171,12 +163,11 @@ def coarsest_level(family: str) -> int:
 
     Raises ValueError for an unknown family.
     """
-    key = _ALIASES.get(str(family).lower())
-    if key is None:
+    if family not in SUPPORTED_FAMILIES:
         raise ValueError(
             f"unknown wavelet family {family!r}; supported: {', '.join(SUPPORTED_FAMILIES)}"
         )
-    return (len(_FILTERS[key]) - 2).bit_length()
+    return (len(_FILTERS[family]) - 2).bit_length()
 
 
 _MIN_DEPTH = {"haar": 8, "db4": 12, "db6": 10}
@@ -190,10 +181,9 @@ def check_refine_depth(family: str, refine_depth: int) -> None:
     3 * 2^depth doubles) outgrows memory.  An unknown family raises too.
     """
     coarsest_level(family)
-    key = _ALIASES[str(family).lower()]
-    if not _MIN_DEPTH[key] <= refine_depth <= 20:
+    if not _MIN_DEPTH[family] <= refine_depth <= 20:
         raise ValueError(
-            f"refine_depth={refine_depth} out of range for {key}: need {_MIN_DEPTH[key]}..20, "
+            f"refine_depth={refine_depth} out of range for {family}: need {_MIN_DEPTH[family]}..20, "
             "since shallower tables fail the orthonormality check and deeper ones outgrow memory"
         )
 
@@ -205,20 +195,19 @@ def make_basis(family: str, refine_depth: int = 12) -> WaveletBasis:
     ``check_refine_depth``'s range.
     """
     check_refine_depth(family, refine_depth)
-    key = _ALIASES[str(family).lower()]
-    h = _FILTERS[key].copy()
+    h = _FILTERS[family].copy()
     g = (-1.0) ** np.arange(len(h)) * h[::-1]  # the quadrature mirror g_k = (-1)^k h_{n-1-k}
-    if key == "haar":  # its transfer matrix is the identity: phi in closed form
+    if family == "haar":  # its transfer matrix is the identity: phi in closed form
         phi = np.append(np.ones(1 << refine_depth), 0.0)
     else:
         phi = _integer_scaling_values(h)
         for lvl in range(refine_depth):
             phi = _refine(phi, h, lvl)
     basis = WaveletBasis(
-        family=key,
+        family=family,
         filters=np.stack([h, g]),
         support_length=len(h) - 1,
-        coarsest_level=coarsest_level(key),
+        coarsest_level=coarsest_level(family),
         refine_depth=refine_depth,
         phi_table=phi,
         psi_table=_wavelet_table(phi, g, refine_depth),

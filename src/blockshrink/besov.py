@@ -37,12 +37,11 @@ def _inv(value):
 
 @dataclass(frozen=True)
 class BesovBall:
-    """Ball parameters: smoothness s, shape pi, fine index r, radius."""
+    """Ball parameters: smoothness s, shape pi, fine index r."""
 
     s: object
     pi: object
     r: object
-    radius: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "s", as_rational(self.s))
@@ -64,10 +63,16 @@ class BesovBall:
 def ball_from_spec(spec) -> BesovBall:
     """BesovBall from a mapping with keys s, pi and optionally r (default inf).
 
-    Raises ValueError for a missing key or a malformed value.
+    Raises ValueError for a missing or unknown key, a boolean, or a malformed
+    value.
     """
     if not isinstance(spec, dict) or not {"s", "pi"} <= set(spec):
         raise ValueError(f"need an object with keys s, pi and optionally r, got {spec!r}")
+    for key, value in spec.items():
+        if key not in ("s", "pi", "r"):
+            raise ValueError(f"unknown key {key!r}")
+        if isinstance(value, bool):
+            raise ValueError(f"{key} must be a number, got {value!r}")
     try:
         return BesovBall(spec["s"], spec["pi"], spec.get("r", INF))
     except (TypeError, ArithmeticError) as exc:
@@ -207,13 +212,12 @@ SIGNAL_NAMES = tuple(sorted((*_NORMALIZED, *_RAW)))
 @dataclass(eq=False)
 class TestFunction:
     """A target function with its values on a midpoint grid, its coefficient
-    tree and, for a ``random_besov`` signal, its Besov ball and radius."""
+    tree and, for a ``random_besov`` signal, its Besov ball radius."""
 
     name: str
     fn: object
     values: np.ndarray
     tree: CoefficientTree
-    ball: BesovBall = None
     ball_radius: float = None
 
 
@@ -228,19 +232,24 @@ def signal_spec(spec, j0: int, jmax: int) -> dict:
         raise ValueError(f"jmax={jmax} out of range: need coarsest level {j0} <= jmax <= 12")
     if isinstance(spec, str):
         spec = {"name": spec}
+    if set(spec) not in ({"name"}, {"random_besov"}):
+        raise ValueError(f"signal needs one key, name or random_besov, got keys {sorted(spec)}")
     if "random_besov" not in spec:
-        name = spec.get("name")
+        name = spec["name"]
         if name not in SIGNAL_NAMES:
             raise ValueError(f"unknown signal name {name!r}; known: {', '.join(SIGNAL_NAMES)}")
         return spec
     params = spec["random_besov"]
+    if not isinstance(params, dict):
+        raise ValueError(f"signal.random_besov must be an object, got {params!r}")
+    params = dict(params)
+    seed = params.pop("seed", None)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"signal.random_besov seed must be a non-negative integer, got {seed!r}")
     try:
         ball_from_spec(params)
     except ValueError as exc:
         raise ValueError(f"signal.random_besov: {exc}") from exc
-    seed = params.get("seed")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"signal.random_besov seed must be a non-negative integer, got {seed!r}")
     return spec
 
 
@@ -260,10 +269,11 @@ def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunctio
     grid_size = 1 << max(14, jmax + 6)
 
     if "random_besov" in spec:
-        params = spec["random_besov"]
+        params = dict(spec["random_besov"])
+        seed = params.pop("seed")
         ball = ball_from_spec(params)
         s, inv_pi = float(ball.s), float(_inv(ball.pi))
-        rng = np.random.default_rng(np.random.SeedSequence((int(params["seed"]), 0xBE50)))
+        rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xBE50)))
         levels = list(range(j0 - 1, jmax + 1))
         coeffs, term_bounds = [], []
         for j in levels:
@@ -290,7 +300,6 @@ def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunctio
             fn=fn,
             values=fn(midpoint_grid(grid_size)),
             tree=tree,
-            ball=ball,
             ball_radius=radius,
         )
 

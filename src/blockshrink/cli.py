@@ -48,10 +48,6 @@ def parse_config(path) -> ExperimentConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    if isinstance(raw.get("signal"), str):
-        raw["signal"] = {"name": raw["signal"]}
-    if isinstance(raw.get("density"), str):
-        raw["density"] = {"kind": raw["density"]}
     config = ExperimentConfig(**raw)
     try:
         config.validate()
@@ -60,54 +56,41 @@ def parse_config(path) -> ExperimentConfig:
     return config
 
 
-class _Manifest:
-    """A run's record, opened (and ``out_dir`` created) when the run starts."""
-
-    def __init__(self, subcommand: str, config: dict, master_seed, out_dir: Path):
-        self.data = {
-            "subcommand": subcommand,
-            "config": config,
-            "master_seed": master_seed,
-            "artifact_version": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-            "started_at": datetime.now(timezone.utc).isoformat(),
-            "finished_at": None,
-            "inputs": [],
-            "outputs": [],
-        }
-        self.out_dir = out_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def add_input(self, path) -> None:
-        self.data["inputs"].append(str(path))
-
-    def add_output(self, path) -> None:
-        self.data["outputs"].append(str(path))
-
-    def write(self) -> Path:
-        self.data["finished_at"] = datetime.now(timezone.utc).isoformat()
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(self.data, indent=2, default=str) + "\n")
-        return path
+def _write_manifest(out_dir: Path, subcommand: str, config: dict, master_seed,
+                    started_at: datetime, inputs: list, outputs: list) -> None:
+    """Write the run's record ``out_dir/manifest.json``, after its outputs."""
+    manifest = {
+        "subcommand": subcommand,
+        "config": config,
+        "master_seed": master_seed,
+        "artifact_version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "started_at": started_at.isoformat(),
+        "finished_at": datetime.now(timezone.utc).isoformat(),
+        "inputs": [str(path) for path in inputs],
+        "outputs": [str(path) for path in outputs],
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str) + "\n")
 
 
 def _cmd_basis(args) -> int:
-    out_dir = Path(args.out_dir)
-    settings = {"family": args.family, "refine_depth": args.refine_depth}
+    started_at = datetime.now(timezone.utc)
     basis = make_basis(args.family, args.refine_depth)
-    manifest = _Manifest("basis", settings, None, out_dir)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"basis_{basis.family}.csv"
     xs = basis.table_grid()
     write_csv(path, "x,phi,psi", xs, basis.phi_table, basis.psi_table)
-    manifest.add_output(path)
-    manifest.write()
+    settings = {"family": args.family, "refine_depth": args.refine_depth}
+    _write_manifest(out_dir, "basis", settings, None, started_at, [], [path])
     print(f"wrote {path} ({len(xs)} rows, support [0, {basis.support_length}])")
     return 0
 
 
 def _cmd_fit(args) -> int:
+    started_at = datetime.now(timezone.utc)
     if not 1 <= args.grid <= _MAX_RISK_GRID or args.grid & (args.grid - 1):
         raise ConfigError(f"--grid={args.grid} must be a power of two up to {_MAX_RISK_GRID}")
     try:
@@ -115,7 +98,6 @@ def _cmd_fit(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--basis: {exc}") from exc
     basis = make_basis(args.basis, args.refine_depth)
-    out_dir = Path(args.out_dir)
     try:
         sample = read_sample_csv(args.input)
     except (ValueError, OSError) as exc:
@@ -133,13 +115,10 @@ def _cmd_fit(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--grid: {exc}") from exc
     # out_dir is made only once every input has passed its checks
-    settings = {"input": str(args.input), "density": args.density, "basis": args.basis,
-                "p": args.p, "d": args.d, "grid": args.grid}
-    manifest = _Manifest("fit", settings, None, out_dir)
-    manifest.add_input(args.input)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     est_path = out_dir / "estimate.csv"
     write_csv(est_path, "x,fhat", midpoint_grid(args.grid), values)
-    manifest.add_output(est_path)
     counts = [len(stats) for stats in est.statistics]
     blocks_path = out_dir / "blocks.csv"
     write_csv(
@@ -151,8 +130,10 @@ def _cmd_fit(args) -> int:
         np.repeat(est.cut, sum(counts)),
         np.concatenate(est.kept),
     )
-    manifest.add_output(blocks_path)
-    manifest.write()
+    settings = {"input": str(args.input), "density": args.density, "basis": args.basis,
+                "p": args.p, "d": args.d, "grid": args.grid}
+    _write_manifest(out_dir, "fit", settings, None, started_at, [args.input],
+                    [est_path, blocks_path])
     clamped = " (coarse level clamped)" if est.grid.clamped else ""
     print(
         f"fit n={sample.n}: levels {est.grid.j_low}..{est.grid.j_high}{clamped}, "
@@ -162,9 +143,9 @@ def _cmd_fit(args) -> int:
 
 
 def _start_run(args):
-    """Shared start of ``rates`` and ``diagnose``: check ``--threads`` and
-    ``--seed``, parse ``--config``, apply ``--seed``, create ``--out-dir`` and
-    open the manifest before the run."""
+    """Shared start of ``rates`` and ``diagnose``: note the start time, check
+    ``--threads`` and ``--seed``, parse ``--config`` and apply ``--seed``."""
+    started_at = datetime.now(timezone.utc)
     if args.threads < 1:
         raise ConfigError(f"threads={args.threads} must be at least 1")
     if args.seed is not None and args.seed < 0:
@@ -172,10 +153,7 @@ def _start_run(args):
     config = parse_config(args.config)
     if args.seed is not None:
         config.master_seed = args.seed
-    out_dir = Path(args.out_dir)
-    manifest = _Manifest(args.subcommand, asdict(config), config.master_seed, out_dir)
-    manifest.add_input(args.config)
-    return config, out_dir, manifest
+    return config, Path(args.out_dir), started_at
 
 
 def _print_clamped(config: ExperimentConfig) -> None:
@@ -187,22 +165,16 @@ def _print_clamped(config: ExperimentConfig) -> None:
 
 
 def _cmd_rates(args) -> int:
-    config, out_dir, manifest = _start_run(args)
+    config, out_dir, started_at = _start_run(args)
     report = run_rate_experiment(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "report.json"
     json_path.write_text(json.dumps(asdict(report), indent=2) + "\n")
-    manifest.add_output(json_path)
     csv_path = out_dir / "risks.csv"
-    write_csv(
-        csv_path,
-        "n,mean_risk,stderr,theory_exponent",
-        report.n_grid,
-        report.mean_risk,
-        report.stderr,
-        [report.theory_risk_exponent] * len(report.n_grid),
-    )
-    manifest.add_output(csv_path)
-    manifest.write()
+    write_csv(csv_path, "n,mean_risk,stderr,theory_exponent", report.n_grid, report.mean_risk,
+              report.stderr, [report.theory_risk_exponent] * len(report.n_grid))
+    _write_manifest(out_dir, "rates", asdict(config), config.master_seed, started_at,
+                    [args.config], [json_path, csv_path])
     print(f"signal {report.meta['signal']}, zone {report.zone}")
     for n, risk, err in zip(report.n_grid, report.mean_risk, report.stderr):
         print(f"  n={n:>7d}  mean risk {risk:.6g} +- {err:.2g}")
@@ -223,21 +195,21 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    config, out_dir, manifest = _start_run(args)
+    config, out_dir, started_at = _start_run(args)
     moment, conc = run_diagnostics(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "diagnostics.json"
     json_path.write_text(
         json.dumps({"moment": asdict(moment), "concentration": asdict(conc)}, indent=2) + "\n"
     )
-    manifest.add_output(json_path)
     csv_path = out_dir / "concentration.csv"
     write_csv(
         csv_path,
         "n,frequency,wilson_upper,envelope,median_stat",
         conc.n_grid, conc.frequency, conc.wilson_upper, conc.envelope, conc.median_stat,
     )
-    manifest.add_output(csv_path)
-    manifest.write()
+    _write_manifest(out_dir, "diagnose", asdict(config), config.master_seed, started_at,
+                    [args.config], [json_path, csv_path])
     _print_clamped(config)
     print(
         f"moment decay at (j={moment.j}, k={moment.k}): slope {moment.slope:.4f} "

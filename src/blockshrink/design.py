@@ -113,41 +113,46 @@ def piecewise_design(breaks, values) -> DesignDensity:
     )
 
 
+# Each density kind's constructor and parameters, in compact-string order.
+_DENSITY_KINDS = {
+    "uniform": (uniform_design, ()),
+    "linear-tilt": (lambda slope: linear_tilt_design(float(slope)), ("slope",)),
+    "piecewise": (piecewise_design, ("breaks", "values")),
+}
+
+
 def density_from_spec(spec) -> DesignDensity:
-    """Build a density from a config mapping or a compact string.
+    """Build a density from a config mapping or its compact string.
 
     Accepted forms: {"kind": "uniform"}, {"kind": "linear-tilt", "slope": s},
     {"kind": "piecewise", "breaks": [...], "values": [...]}, or the strings
-    "uniform", "linear-tilt:<slope>", "piecewise:<b1,..>:<v1,..>".
+    "uniform", "linear-tilt:<slope>", "piecewise:<b1,..>:<v1,..>".  Raises
+    ValueError, quoting the spec as written, for an unknown kind or key, a
+    missing or boolean parameter, or an invalid density.
     """
-    if isinstance(spec, DesignDensity):
-        return spec
     if not isinstance(spec, (str, dict)):
         raise ValueError(f"density must be a string or an object, got {spec!r}")
     try:
-        if isinstance(spec, str):
-            parts = spec.split(":")
-            name = parts[0]
-            if name == "uniform":
-                return uniform_design()
-            if name == "linear-tilt":
-                return linear_tilt_design(float(parts[1]))
-            if name == "piecewise":
-                breaks = [float(v) for v in parts[1].split(",") if v]
-                values = [float(v) for v in parts[2].split(",")]
-                return piecewise_design(breaks, values)
-            raise ValueError("unknown density spec")
-        kind = spec.get("kind")
-        if kind == "uniform":
-            return uniform_design()
-        if kind == "linear-tilt":
-            return linear_tilt_design(float(spec["slope"]))
-        if kind == "piecewise":
-            return piecewise_design(spec["breaks"], spec["values"])
-        raise ValueError(f"unknown density kind {kind!r}")
+        kind, *texts = spec.split(":") if isinstance(spec, str) else [spec.get("kind")]
+        if not isinstance(kind, str) or kind not in _DENSITY_KINDS:
+            raise ValueError(f"unknown density kind {kind!r}")
+        build, names = _DENSITY_KINDS[kind]
+        if len(texts) > len(names):
+            raise ValueError(f"{len(texts)} parameters given for {kind}, which takes {len(names)}")
+        params = spec if isinstance(spec, dict) else {  # a list parameter is comma-separated
+            name: text if name == "slope" else (text.split(",") if text else [])
+            for name, text in zip(names, texts)}
+        unknown = set(params) - {"kind", *names}
+        if unknown:
+            raise ValueError(f"unknown keys for kind {kind!r}: {', '.join(sorted(unknown))}")
+        for name in names:
+            value = params[name]
+            if bool in map(type, value if isinstance(value, list) else [value]):
+                raise ValueError(f"{name} must be numeric, got {value!r}")
+        return build(*(params[name] for name in names))
     except KeyError as exc:
         raise ValueError(f"density {spec!r} lacks the key {exc.args[0]!r}") from exc
-    except (IndexError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"density {spec!r}: {exc}") from exc
 
 

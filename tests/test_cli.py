@@ -49,7 +49,7 @@ class TestParseConfig:
         assert cfg.d == 4.0
         assert cfg.basis_family == "haar"
         assert cfg.risk_grid == 1 << 14
-        assert cfg.signal == {"name": "heavisine"}
+        assert cfg.signal == "heavisine"  # a spec is kept as written
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -129,6 +129,26 @@ _MALFORMED = [
     ({"p": 1000}, "p=1000", "p-block-size-overflows"),
     ({"basis_family": "db6"}, "n=256", "n-too-small-for-db6"),
     ({"n_grid": [256, 512, 10**13]}, "n_grid", "n_grid-too-large"),
+    # nested specs: unknown keys are named, and a bool is not a number
+    ({"density": {"kind": "uniform", "slope": 3}}, "unknown keys for kind 'uniform': slope",
+     "uniform-slope"),
+    ({"density": "linear-tilt:0.5:3"}, "2 parameters given for linear-tilt, which takes 1",
+     "tilt-string-extra"),
+    ({"density": {"kind": "linear-tilt", "slope": True}}, "slope must be numeric",
+     "tilt-slope-bool"),
+    ({"density": {"kind": "piecewise", "breaks": [0.5], "values": [True, True]}},
+     "values must be numeric", "piecewise-values-bool"),
+    ({"signal": {"name": "zero", "bogus": 1}}, "got keys ['bogus', 'name']", "signal-bogus"),
+    ({"signal": {}}, "got keys []", "signal-empty"),
+    ({"ball": {"s": 1, "pi": "inf", "radius": 5}}, "ball: unknown key 'radius'", "ball-radius"),
+    ({"ball": {"s": True, "pi": "inf"}}, "ball: s must be a number", "ball-s-bool"),
+    ({"signal": {"random_besov": {"s": 2, "pi": 2, "seed": 1, "extra": 9}}},
+     "signal.random_besov: unknown key 'extra'", "besov-extra"),
+    ({"signal": {"random_besov": {"s": 2, "pi": True, "seed": 1}}},
+     "signal.random_besov: pi must be a number", "besov-pi-bool"),
+    ({"basis_family": "DB4"}, "unknown wavelet family 'DB4'", "basis_family-upper-case"),
+    ({"basis_family": "daubechies-4"}, "unknown wavelet family 'daubechies-4'",
+     "basis_family-long-name"),
 ]
 # Diagnose fields that only diagnose reads: each row breaks one of them
 # against the base n_grid, whose n = 256 admits level 2 only.
@@ -182,7 +202,9 @@ _SPECS = st.fixed_dictionaries(
         "density": st.fixed_dictionaries(
             {"kind": st.sampled_from(["uniform", "linear-tilt", "piecewise"])},
             optional={"slope": _NUMBERS, "breaks": _JSON, "values": _JSON},
-        ) | _JSON,
+        ) | st.sampled_from(["uniform", "uniform:1", "linear-tilt:0.5", "linear-tilt:x",
+                             "piecewise:0.5:0.6,1.4", "piecewise::1", "piecewise:0.5:1,,1"])
+        | _JSON,
     },
 )
 _KEYS = st.sampled_from(sorted(f.name for f in fields(ExperimentConfig))) | st.text(max_size=8)
@@ -285,10 +307,34 @@ class TestDispatch:
         calls = []
         monkeypatch.setattr(harness, "generate_sample", lambda *a, **k: calls.append(a))
         cfg = write_config(tmp_path / "c.json", n_grid=[1024, 2048])
-        assert main(["rates", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["rates", "--config", str(cfg), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "n_grid" in err
         assert calls == []
+        assert not out.exists()
+
+    def test_diagnose_level_out_of_range_exits_two_before_drawing(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "generate_sample", lambda *a, **k: calls.append(a))
+        cfg = write_config(tmp_path / "c.json", **{**_DIAGNOSE_OK, "moment_level": 9})
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "moment_level=9" in err
+        assert calls == []
+        assert not out.exists()
+
+    def test_compact_density_string_matches_the_mapping(self, tmp_path):
+        outs = []
+        for density in ("linear-tilt:0.5", {"kind": "linear-tilt", "slope": 0.5}):
+            cfg = write_config(tmp_path / f"c{len(outs)}.json", density=density)
+            outs.append(tmp_path / f"out{len(outs)}")
+            assert main(["rates", "--config", str(cfg), "--out-dir", str(outs[-1])]) == 0
+        assert (outs[0] / "risks.csv").read_bytes() == (outs[1] / "risks.csv").read_bytes()
+        manifest = json.loads((outs[0] / "manifest.json").read_text())
+        assert manifest["config"]["density"] == "linear-tilt:0.5"
 
     def test_diagnose_run(self, tmp_path):
         cfg = write_config(
@@ -480,7 +526,7 @@ def test_fit_grid_too_small_names_grid(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra,flag", [
     (["--input", "MISSING"], "--input"),
-    (["--density", "foo"], "--density: density 'foo': unknown density spec"),
+    (["--density", "foo"], "--density: density 'foo': unknown density kind 'foo'"),
     (["--density", "linear-tilt:3"], "--density: density 'linear-tilt:3'"),
     (["--grid", "4"], "--grid: grid_size=4 cannot resolve"),
     (["--basis", "bogus"], "--basis: unknown wavelet family 'bogus'; supported: db4, db6, haar"),

@@ -1,5 +1,7 @@
 """Design densities, sampling determinism, and the observation model."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,30 @@ class TestPdf:
         assert g.pdf(0.7) == 1.5
         with pytest.raises(ValueError, match="unknown density"):
             density_from_spec("cauchy")
+
+    @pytest.mark.parametrize("text,mapping", [
+        ("uniform", {"kind": "uniform"}),
+        ("linear-tilt:-0.5", {"kind": "linear-tilt", "slope": -0.5}),
+        ("piecewise:0.25,0.5:0.8,1.2,1", {"kind": "piecewise", "breaks": [0.25, 0.5],
+                                          "values": [0.8, 1.2, 1.0]}),
+        ("piecewise::1", {"kind": "piecewise", "breaks": [], "values": [1]}),
+    ])
+    def test_compact_string_is_the_mapping(self, text, mapping):
+        assert density_from_spec(text) == density_from_spec(mapping)
+
+    @pytest.mark.parametrize("spec,fragment", [
+        ("cauchy:1", "density 'cauchy:1': unknown density kind 'cauchy'"),
+        ("uniform:1", "density 'uniform:1': 1 parameters given for uniform, which takes 0"),
+        ("linear-tilt", "density 'linear-tilt' lacks the key 'slope'"),
+        ({"kind": "piecewise", "breaks": [], "values": [1], "slope": 0},
+         "unknown keys for kind 'piecewise': slope"),
+        ({"kind": "linear-tilt", "slope": False}, "slope must be numeric, got False"),
+        ({"kind": ["uniform"]}, "unknown density kind ['uniform']"),
+        (uniform_design(), "density must be a string or an object"),
+    ])
+    def test_from_spec_rejects_quoting_the_spec(self, spec, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            density_from_spec(spec)
 
 
 @pytest.mark.parametrize("name", sorted(_DRAW_DESIGNS))
