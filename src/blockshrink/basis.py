@@ -435,13 +435,15 @@ def _grid_series(alpha: np.ndarray, cell: np.ndarray, out: np.ndarray) -> np.nda
     coefficients ``alpha``, given ``_first_cell``'s values, written into and
     returned as ``out``: every level-J cell holds the same midpoint offsets,
     so cell c sees translate (c - m) mod 2^J.  The terms are summed from +0.0
-    in translate order, so even the sign of a zero is fixed."""
+    in translate order, so even the sign of a zero is fixed; each term after
+    the first is written into one temporary, reused across translates."""
     view = out.reshape(len(alpha), -1)
     np.copyto(view, alpha[:, None])  # then a contiguous product, faster than a broadcast one
     view *= cell[0]
     view += 0.0  # 0.0 + the first term: a -0.0 becomes +0.0
+    term = np.empty_like(view) if len(cell) > 1 else None
     for m in range(1, len(cell)):
-        view += np.roll(alpha, m)[:, None] * cell[m]
+        view += np.multiply(np.roll(alpha, m)[:, None], cell[m], out=term)
     return out
 
 

@@ -33,14 +33,14 @@ _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a JSON experiment config, filling defaults.
 
-    Unknown keys and out-of-range parameters raise ConfigError naming the
-    offending field.
+    Unknown keys, a key repeated in any object, and out-of-range parameters
+    raise ConfigError naming the offending field.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -54,6 +54,17 @@ def parse_config(path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config
+
+
+def _unique_keys(pairs) -> dict:
+    """One JSON object of a config: a repeated key raises ConfigError naming
+    it, where ``json.loads`` would keep the last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats the key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _write_manifest(out_dir: Path, subcommand: str, config: dict, master_seed,

@@ -8,10 +8,22 @@ CDFs so that sampling is a deterministic transform of seeded uniforms.
 
 from __future__ import annotations
 
+import functools
+import numbers
+import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# NumPy's SeedSequence (NEP 19): a pool of four uint32 words, the running
+# hash constants of its entropy mixing (A) and of generate_state (B), and
+# its mixing multipliers.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -128,7 +140,8 @@ def density_from_spec(spec) -> DesignDensity:
     {"kind": "piecewise", "breaks": [...], "values": [...]}, or the strings
     "uniform", "linear-tilt:<slope>", "piecewise:<b1,..>:<v1,..>".  Raises
     ValueError, quoting the spec as written, for an unknown kind or key, a
-    missing or boolean parameter, or an invalid density.
+    missing parameter, a boolean or string one in the mapping form, or an
+    invalid density.
     """
     if not isinstance(spec, (str, dict)):
         raise ValueError(f"density must be a string or an object, got {spec!r}")
@@ -145,9 +158,12 @@ def density_from_spec(spec) -> DesignDensity:
         unknown = set(params) - {"kind", *names}
         if unknown:
             raise ValueError(f"unknown keys for kind {kind!r}: {', '.join(sorted(unknown))}")
-        for name in names:
+        for name in names:  # the mapping form takes numbers: no bool, no string
             value = params[name]
-            if bool in map(type, value if isinstance(value, list) else [value]):
+            if isinstance(spec, dict) and not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool)
+                for v in (value if isinstance(value, list) else [value])
+            ):
                 raise ValueError(f"{name} must be numeric, got {value!r}")
         return build(*(params[name] for name in names))
     except KeyError as exc:
@@ -179,16 +195,130 @@ def generate_sample(
     """Draw a regression sample y_i = f(x_i) + z_i for a callable f on [0, 1].
 
     The design and the noise come from two decorrelated streams spawned from
-    ``seed``.  ``noiseless=True`` replaces the Gaussian noise stream by zeros,
-    a hook for oracle tests.
+    ``seed``: PCG64 on NumPy's ``SeedSequence(seed).spawn(2)`` (see
+    ``_streams``).  ``noiseless=True`` replaces the Gaussian noise
+    stream by zeros, a hook for oracle tests.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    design_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-    x, g = density.draw(np.random.default_rng(design_ss).random(n))
+    (rngs,) = _streams(_words(seed))
+    return _draw_sample(f, density, n, rngs, noiseless)
+
+
+def _draw_sample(f, density: DesignDensity, n: int, rngs, noiseless: bool) -> Sample:
+    """The sample of ``generate_sample`` from its (design, noise) generators
+    ``rngs``: n uniforms, the design points and g at them, f, then the noise."""
+    design_rng, noise_rng = rngs
+    x, g = density.draw(design_rng.random(n))
     fx = np.asarray(f(x), dtype=float)
-    y = fx if noiseless else fx + np.random.default_rng(noise_ss).standard_normal(n)
+    y = fx if noiseless else fx + noise_rng.standard_normal(n)
     return Sample(n=n, x=x, y=np.asarray(y, dtype=float), g=g)
+
+
+def _words(value) -> list:
+    """The little-endian uint32 words of a non-negative integer, as NumPy's
+    SeedSequence reads an integer entropy (0 is one word)."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _running(init: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` values init * mult^i mod 2^32 of a running hash
+    constant."""
+    consts = np.full(count, mult, dtype=np.uint32)
+    consts[0] = init
+    return np.multiply.accumulate(consts, dtype=np.uint32)
+
+
+def _seed_state(entropy, n_words: int) -> np.ndarray:
+    """``SeedSequence(words).generate_state(n_words, np.uint32)`` for many
+    entropies at once, row i of the result holding word i.
+
+    ``entropy`` lists the uint32 entropy words in order, each an integer or
+    an array; the arrays broadcast, and each position of their common shape
+    is one entropy.  The hash is NumPy's: the words fill the pool (zeros
+    pad it), every pool word is mixed into every other, any words beyond
+    the pool are mixed into each pool word, and the pool is cycled out
+    through a second hash.  Every hashmix call advances the constant, so
+    the calls that hash one word run as one array operation.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, entropy)) or (1,)
+    words = np.zeros((max(len(entropy), _POOL),) + shape, dtype=np.uint32)
+    for i, word in enumerate(entropy):
+        words[i] = word
+    column = (slice(None),) + (None,) * len(shape)
+    calls = _POOL * _POOL + _POOL * max(0, len(entropy) - _POOL)
+    consts = _running(_INIT_A, _MULT_A, calls + 1)[column]
+
+    def hashmix(value, k, count):  # calls k .. k + count - 1
+        value = value ^ consts[k:k + count]
+        value *= consts[k + 1:k + count + 1]
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        x = x * _MIX_L
+        x -= y * _MIX_R
+        x ^= x >> 16
+        return x
+
+    pool = hashmix(words[:_POOL], 0, _POOL)
+    k = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], k, _POOL - 1))
+        k += _POOL - 1
+    for word in words[_POOL:len(entropy)]:
+        pool = mix(pool, hashmix(word, k, _POOL))
+        k += _POOL
+    out = _running(_INIT_B, _MULT_B, n_words + 1)[column]
+    state = pool[np.arange(n_words) % _POOL] ^ out[:-1]
+    state *= out[1:]
+    state ^= state >> 16
+    return state
+
+
+@functools.cache
+def _preset_seed():
+    """The seed sequence type that hands PCG64 precomputed seed material:
+    ``generate_state`` returns it as is.  Made on first use, so importing
+    the package does not import numpy.random."""
+
+    class PresetSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, material):
+            self.material = material
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.material
+
+    return PresetSeed
+
+
+def _streams(seed_words):
+    """For each seed in turn, its (design, noise) generators: PCG64 on the
+    children of ``SeedSequence(seed).spawn(2)``, as ``np.random.default_rng``
+    builds them, with the children's hashes computed for every seed at once.
+
+    ``seed_words`` are the seeds' uint32 words (see ``_words``), integers or
+    arrays that broadcast over the seeds.  A spawned child's entropy is the
+    seed's words padded with zeros to the pool size, then its spawn key, so
+    a seed below 2^32 needs no special case.  PCG64 seeds itself from the
+    child's ``generate_state(4, np.uint64)``: little-endian pairs of words.
+    """
+    words = [*seed_words, *[0] * (_POOL - len(seed_words))]
+    state = _seed_state([*words, np.arange(2, dtype=np.uint32)[:, None]], 8)
+    material = np.ascontiguousarray(np.moveaxis(state, 0, -1), dtype="<u4").view("<u8")
+    material = material.astype(np.uint64, copy=False)
+    preset = _preset_seed()
+    for design, noise in zip(*material):
+        yield (np.random.Generator(np.random.PCG64(preset(design))),
+               np.random.Generator(np.random.PCG64(preset(noise))))
 
 
 # Rows formatted and written per string; bounds the text held in memory.

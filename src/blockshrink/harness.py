@@ -11,11 +11,13 @@ Everything is deterministic given the master seed: replication seeds derive
 from (master_seed, n, replication index), so enlarging the n grid never
 perturbs existing replications.
 
-Each n runs in two stages, on one thread.  The per-replication stage (seed,
-draw, weights, and the scaling sums one level above the finest) runs once
-per replication, in replication order.  The per-n stage stacks those sums
-as an (R, 2^(j+1)) matrix and runs the analysis filter bank, the finiteness
-check, and each rule's thresholding and lift once on the whole stack; only
+Each n runs in two stages, on one thread.  The per-replication stage (draw,
+weights, and the scaling sums one level above the finest) runs once per
+replication, in replication order, from streams that one vectorized pass
+seeds for all R replications.  The per-n stage stacks those sums as an
+(R, 2^(j+1)) matrix and runs the analysis filter bank, the finiteness check,
+and each rule's thresholding and lift once on the whole stack.  At p = 2
+each rule's whole stack is then scored in coefficient space; at any other p
 the risk-grid values are computed one replication at a time, each written
 into and scored in place in one risk-grid buffer that the run allocates once.
 """
@@ -32,7 +34,10 @@ from .basis import (CoefficientTree, _analysis, _first_cell, _grid_series, _lift
                     _scaling_sums, check_refine_depth, coarsest_level, make_basis,
                     midpoint_grid)
 from .besov import ball_from_spec, make_test_function, rate_spec, signal_spec
-from .design import DesignDensity, density_from_spec, generate_sample
+# generate_sample is not called here; the binding stays so that perfbench,
+# which traces it through every module that imports it, finds it.
+from .design import (DesignDensity, _draw_sample, _seed_state, _streams, _words,  # noqa: F401
+                     density_from_spec, generate_sample)
 from .estimator import _weights, block_grid, block_statistics, threshold_tree
 
 _Z95 = 1.959963984540054
@@ -137,9 +142,16 @@ class ExperimentConfig:
 
 
 def replication_seed(master_seed: int, n: int, rep: int) -> int:
-    """Collision-resistant 64-bit seed for one replication."""
-    ss = np.random.SeedSequence((int(master_seed), int(n), int(rep)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Collision-resistant 64-bit seed for one replication: NumPy's
+    ``SeedSequence((master_seed, n, rep)).generate_state(1, np.uint64)``."""
+    low, high = _replication_words(master_seed, n, _words(rep))
+    return int(low[0]) | int(high[0]) << 32
+
+
+def _replication_words(master_seed: int, n: int, rep_words) -> np.ndarray:
+    """The (low, high) uint32 words of ``replication_seed`` for every rep at
+    once: ``rep_words`` are the reps' words, integers or arrays over them."""
+    return _seed_state([*_words(master_seed), *_words(n), *rep_words], 2)
 
 
 def _lp_mean(diff: np.ndarray, p: float) -> float:
@@ -161,6 +173,47 @@ def _grid_risks(lifted: np.ndarray, cell: np.ndarray, truth: np.ndarray, p: floa
         buf -= truth
         risks[r] = _lp_mean(buf, p)
     return risks
+
+
+def _projection(cell: np.ndarray, truth: np.ndarray, buf: np.ndarray):
+    """The level-J projection of ``truth``, for ``_l2_risks``: the first row
+    of the Gram matrix G / N, the projection's coefficients a* and its l^2
+    risk, the residual, scored on the grid in ``buf``.
+
+    Phi, the N risk-grid values of the 2^J level-J translates, has a
+    circulant Gram matrix G = Phi^T Phi: cell c pairs translates c - m and
+    c - m', so G[k, k'] sums the first-cell products cell[m] . cell[m'] over
+    m - m' = k' - k (mod 2^J).  a* solves G a* = Phi^T truth.
+    """
+    dim = len(truth) // cell.shape[1]
+    taps = np.arange(len(cell))
+    gram = np.bincount(((taps[:, None] - taps) % dim).ravel(),
+                       weights=(cell @ cell.T).ravel(), minlength=dim)
+    cells = truth.reshape(dim, -1)  # (Phi^T truth)_k = sum_m cells[k + m] . cell[m]
+    rhs = sum(np.roll(cells @ row, -m) for m, row in enumerate(cell))
+    k = np.arange(dim)
+    best = np.linalg.solve(gram[(k - k[:, None]) % dim], rhs)
+    return gram / len(truth), best, _grid_risks(best[None], cell, truth, 2, buf)[0]
+
+
+def _l2_risks(lifted: np.ndarray, gram: np.ndarray, best: np.ndarray,
+              floor: float) -> np.ndarray:
+    """``_grid_risks`` at p = 2 of each row alpha of a lifted stack, scored
+    in coefficient space from ``_projection``'s ``gram``, ``best`` and
+    ``floor``:
+
+        ||Phi alpha - truth||^2 / N = (alpha - a*)^T (G / N) (alpha - a*) + floor,
+
+    two terms that are never negative.  The expansion through
+    alpha^T G alpha - 2 alpha^T Phi^T truth cancels instead, and can come
+    out negative for an estimate close to the truth.  G is banded (translates
+    more than the support length apart do not overlap), so a row costs
+    O(2^J) per diagonal instead of a pass over the risk grid.
+    """
+    err = lifted - best
+    quad = sum(gram[d] * np.einsum("ri,ri->r", err, np.roll(err, -d, axis=1))
+               for d in np.flatnonzero(gram))
+    return quad + floor
 
 
 def fit_rate(points):
@@ -207,22 +260,25 @@ def _replicate(config: ExperimentConfig, basis, grid, density, signal) -> Coeffi
     """The stacked coefficient trees of every replication at ``grid.n``:
     row rep of each array holds replication rep's tree on the grid's levels.
 
-    Replication rep draws its sample from its own seed, reads g off the
-    draw, and sums its reweighted scaling functions at ``grid.j_high + 1``
-    in the order the seed drew the points.  The seed fixes that order, so
-    no sort is needed for results to replay exactly.  The analysis steps
-    then run once on the stack of sums, in replication order, and each row
-    comes out as the replication's tree alone would.
+    One vectorized pass seeds the design and noise streams of all R
+    replications (those of ``replication_seed`` and ``generate_sample``).
+    Replication rep then draws its sample, reads g off the draw, and sums
+    its reweighted scaling functions at ``grid.j_high + 1`` in the order the
+    seed drew the points.  The seed fixes that order, so no sort is needed
+    for results to replay exactly.  The analysis steps then run once on the
+    stack of sums, in replication order, and each row comes out as the
+    replication's tree alone would.
     """
+    reps = np.arange(config.replications, dtype=np.uint32)
+    seeds = _replication_words(config.master_seed, grid.n, [reps])
 
-    def one(rep: int):
-        seed = replication_seed(config.master_seed, grid.n, rep)
-        sample = generate_sample(signal.fn, density, grid.n, seed, noiseless=config.noiseless)
+    def one(rngs):
+        sample = _draw_sample(signal.fn, density, grid.n, rngs, config.noiseless)
         x, w = sample.x, _weights(sample, sample.g, density)
         del sample  # y and g are spent: free them before the sums' temporaries
         return _scaling_sums(basis, grid.j_high + 1, x, w)
 
-    sums = [one(rep) for rep in range(config.replications)]
+    sums = [one(rngs) for rngs in _streams(seeds)]
     return _analysis(basis, grid.j_low, grid.j_high, np.stack(sums))
 
 
@@ -261,7 +317,10 @@ def run_rate_experiment(config: ExperimentConfig) -> RiskReport:
     log-log slope is compared with the ball's risk exponent (exponents are
     the falsifiable content of the rate theory; constants are not).  With
     ``config.compare_term`` the same replications also score term-by-term
-    hard/soft baselines, reported descriptively and never gated.
+    hard/soft baselines, reported descriptively and never gated.  At p = 2
+    each rule's risks come from ``_l2_risks`` (coefficient space, within a
+    relative 1e-12 of the grid's ``_grid_risks``), at any other p from
+    ``_grid_risks`` itself.
     """
     basis, density, signal = _materialize(config)
     _check_slope_grid(config)
@@ -279,10 +338,12 @@ def run_rate_experiment(config: ExperimentConfig) -> RiskReport:
         grid = block_grid(n, config.p, basis.coarsest_level)
         stack = _replicate(config, basis, grid, density, signal)
         cell = _first_cell(basis, grid.j_high + 1, config.risk_grid)
+        projection = _projection(cell, truth, buf) if config.p == 2 else None
         risks = np.empty((R, len(rules)))
         for i, (rule, c) in enumerate(rules):
             _, lifted = _lift(basis, threshold_tree(stack, grid, rule, c).tree)
-            risks[:, i] = _grid_risks(lifted, cell, truth, config.p, buf)
+            risks[:, i] = (_l2_risks(lifted, *projection) if projection
+                           else _grid_risks(lifted, cell, truth, config.p, buf))
         return risks
 
     risks = {n: risks_at(n) for n in ns}

@@ -1,7 +1,8 @@
 """Direct per-level sums and series evaluation: the oracles of the filter bank;
 the direct per-point basis values: the oracle of ``basis._level_terms``; the
-sum of outer products: the oracle of ``basis._grid_series``; and the direct
-inverse CDF: the oracle of the design draw.
+sum of outer products: the oracle of ``basis._grid_series``; the direct
+inverse CDF: the oracle of the design draw; and NumPy's own SeedSequence
+and PCG64: the oracle of the closed-form seeding.
 
 The package computes every coefficient tree as scaling sums one level above
 the finest detail level plus the periodic analysis filter bank, and every
@@ -97,3 +98,14 @@ def direct_ppf(density, u):
     seg = np.clip(np.searchsorted(cum, u, side="right"), 0, len(vals) - 1)
     prev = np.where(seg > 0, cum[np.maximum(seg - 1, 0)], 0.0)
     return lefts[seg] + (u - prev) / vals[seg]
+
+
+def numpy_seed(master_seed, n, rep):
+    """``harness.replication_seed`` through NumPy's SeedSequence."""
+    return int(np.random.SeedSequence((master_seed, n, rep)).generate_state(1, np.uint64)[0])
+
+
+def numpy_streams(seed):
+    """The (design, noise) generators of ``seed`` as NumPy builds them:
+    ``default_rng`` on each child of ``SeedSequence(seed).spawn(2)``."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]

@@ -29,7 +29,9 @@ def _write_sample(path):
     write_csv(path, "x,y", sample.x, sample.y)
 
 
-def write_config(path, **overrides):
+def write_config(path, raw="", /, **overrides):
+    """The base config with ``overrides``; ``raw`` JSON members, which may
+    repeat a key, go after them."""
     base = {
         "signal": "heavisine",
         "p": 2,
@@ -39,7 +41,8 @@ def write_config(path, **overrides):
         "slope_tol": 5.0,
     }
     base.update(overrides)
-    path.write_text(json.dumps(base))
+    text = json.dumps(base)
+    path.write_text(f"{text[:-1]}, {raw}}}" if raw else text)
     return path
 
 
@@ -149,6 +152,20 @@ _MALFORMED = [
     ({"basis_family": "DB4"}, "unknown wavelet family 'DB4'", "basis_family-upper-case"),
     ({"basis_family": "daubechies-4"}, "unknown wavelet family 'daubechies-4'",
      "basis_family-long-name"),
+    # raw JSON members: a repeated key, at the top or nested, is named where
+    # JSON would keep the last value
+    ('"p": 3', "config repeats the key 'p'", "p-repeated"),
+    ('"density": {"kind": "linear-tilt", "slope": 0.5, "slope": 0.25}',
+     "config repeats the key 'slope'", "density-slope-repeated"),
+    ('"signal": {"random_besov": {"s": 2, "pi": 2, "seed": 1, "seed": 2}}',
+     "config repeats the key 'seed'", "besov-seed-repeated"),
+    # the density mapping takes numbers, not their strings
+    ({"density": {"kind": "linear-tilt", "slope": "0.5"}}, "slope must be numeric",
+     "tilt-slope-str"),
+    ({"density": {"kind": "piecewise", "breaks": ["0.5"], "values": [0.6, 1.4]}},
+     "breaks must be numeric", "piecewise-breaks-str"),
+    ({"density": {"kind": "piecewise", "breaks": [0.5], "values": ["0.6", 1.4]}},
+     "values must be numeric", "piecewise-values-str"),
 ]
 # Diagnose fields that only diagnose reads: each row breaks one of them
 # against the base n_grid, whose n = 256 admits level 2 only.
@@ -174,7 +191,9 @@ _DIAGNOSE_RANGES = [
     ],
 )
 def test_malformed_config_exits_two_naming_field(tmp_path, capsys, command, override, field):
-    cfg = write_config(tmp_path / "c.json", **override)
+    path = tmp_path / "c.json"
+    cfg = write_config(path, override) if isinstance(override, str) else write_config(
+        path, **override)
     assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and field in err
@@ -305,7 +324,7 @@ class TestDispatch:
     def test_rates_two_sample_sizes_exits_two_before_drawing(self, tmp_path, capsys,
                                                              monkeypatch):
         calls = []
-        monkeypatch.setattr(harness, "generate_sample", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(harness, "_draw_sample", lambda *a, **k: calls.append(a))
         cfg = write_config(tmp_path / "c.json", n_grid=[1024, 2048])
         out = tmp_path / "out"
         assert main(["rates", "--config", str(cfg), "--out-dir", str(out)]) == 2
@@ -317,7 +336,7 @@ class TestDispatch:
     def test_diagnose_level_out_of_range_exits_two_before_drawing(self, tmp_path, capsys,
                                                                  monkeypatch):
         calls = []
-        monkeypatch.setattr(harness, "generate_sample", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(harness, "_draw_sample", lambda *a, **k: calls.append(a))
         cfg = write_config(tmp_path / "c.json", **{**_DIAGNOSE_OK, "moment_level": 9})
         out = tmp_path / "out"
         assert main(["diagnose", "--config", str(cfg), "--out-dir", str(out)]) == 2
@@ -356,12 +375,13 @@ class TestDispatch:
 
     def test_diagnose_draws_each_sample_once(self, tmp_path, monkeypatch):
         calls = []
+        draw = harness._draw_sample
 
         def counting(*args, **kwargs):
             calls.append(args[2])
-            return generate_sample(*args, **kwargs)
+            return draw(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "generate_sample", counting)
+        monkeypatch.setattr(harness, "_draw_sample", counting)
         cfg = write_config(tmp_path / "c.json", signal="zero", n_grid=[512, 1024, 2048],
                            moment_level=3, conc_level=2)
         assert main(["diagnose", "--config", str(cfg), "--out-dir", str(tmp_path)]) in (0, 1)

@@ -16,7 +16,7 @@ from blockshrink import (
     uniform_design,
 )
 from blockshrink.design import write_csv
-from oracles import direct_ppf
+from oracles import direct_ppf, numpy_streams
 
 # Designs of every kind: uniform, tilts both ways, two and four segments.
 _DRAW_DESIGNS = {
@@ -127,6 +127,11 @@ class TestPdf:
         ({"kind": "linear-tilt", "slope": False}, "slope must be numeric, got False"),
         ({"kind": ["uniform"]}, "unknown density kind ['uniform']"),
         (uniform_design(), "density must be a string or an object"),
+        ({"kind": "linear-tilt", "slope": "0.5"}, "slope must be numeric, got '0.5'"),
+        ({"kind": "piecewise", "breaks": ["0.5"], "values": [0.6, 1.4]},
+         "breaks must be numeric, got ['0.5']"),
+        ({"kind": "piecewise", "breaks": [0.5], "values": [0.6, "1.4"]},
+         "values must be numeric, got [0.6, '1.4']"),
     ])
     def test_from_spec_rejects_quoting_the_spec(self, spec, fragment):
         with pytest.raises(ValueError, match=re.escape(fragment)):
@@ -207,6 +212,23 @@ class TestSampling:
     def test_needs_positive_n(self):
         with pytest.raises(ValueError):
             _design(uniform_design(), 0, seed=1)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _design(uniform_design(), 10, seed=-1)
+
+    @pytest.mark.parametrize("seed", [0, 17, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 5])
+    @pytest.mark.parametrize("noiseless", [False, True])
+    def test_equals_the_numpy_draw_row_by_row(self, seed, noiseless):
+        """The closed-form streams draw what NumPy's SeedSequence and
+        default_rng draw, point for point."""
+        density = piecewise_design([0.3], [0.5, 17 / 14])
+        s = generate_sample(np.sin, density, 1000, seed, noiseless=noiseless)
+        design_rng, noise_rng = numpy_streams(seed)
+        x, g = density.draw(design_rng.random(1000))
+        y = np.sin(x) if noiseless else np.sin(x) + noise_rng.standard_normal(1000)
+        for row, want in enumerate(zip(x, g, y)):
+            assert (s.x[row], s.g[row], s.y[row]) == want, row
 
 
 class TestSampleRange:

@@ -32,8 +32,10 @@ from blockshrink import (
     wilson_upper,
 )
 from blockshrink import harness
-from blockshrink.basis import _coefficient_tree, _first_cell, _lift
+from blockshrink.basis import _coefficient_tree, _first_cell, _grid_series, _lift
+from blockshrink.design import _streams
 from blockshrink.estimator import _weights
+from oracles import numpy_seed, numpy_streams
 
 
 class TestLpRisk:
@@ -60,8 +62,9 @@ class TestGridRisks:
     R = 8
     GRID = 1 << 12
 
-    def _lifted(self, basis, n, p, rule, constant):
-        """The lifted (R, 2^J) stack of one rule at n, its first cell and the truth."""
+    def _lifted(self, basis, n, p, rule, constant, size=GRID):
+        """The lifted (R, 2^J) stack of one rule at n, its first cell and the
+        truth on a risk grid of ``size`` points."""
         config = ExperimentConfig(basis_family=basis.family, p=p, replications=self.R,
                                   master_seed=5)
         signal = make_test_function("heavisine", basis, config.jmax)
@@ -69,8 +72,8 @@ class TestGridRisks:
         stack = harness._replicate(config, basis, grid, linear_tilt_design(0.5), signal)
         tree = threshold_tree(stack, grid, rule, constant).tree
         top, lifted = _lift(basis, tree)
-        truth = signal.fn(midpoint_grid(self.GRID))
-        return tree, lifted, _first_cell(basis, top, self.GRID), truth
+        truth = signal.fn(midpoint_grid(size))
+        return tree, lifted, _first_cell(basis, top, size), truth
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
     @pytest.mark.parametrize("p", [2, 3, 3.0])
@@ -102,6 +105,44 @@ class TestGridRisks:
         assert after_a.tolist() == alone.tolist()
         assert harness._grid_risks(lifted_a, cell_a, truth, 2, buf).tolist() == first_a.tolist()
         assert np.all(np.isfinite(alone)) and lifted_a.shape[-1] != lifted_b.shape[-1]
+
+
+    # the README geometry (risk grid 2^14, n = 2^10 and 2^14), and the
+    # coarsest grid the config admits: two points per level-J cell
+    _GEOMETRIES = [(1024, 1 << 14), (16384, 1 << 14), (4096, 64)]
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    @pytest.mark.parametrize("n,size", _GEOMETRIES)
+    @pytest.mark.parametrize("rule,constant", [("block", 4.0), ("soft", 2.0)])
+    def test_l2_risks_match_the_grid(self, request, family, n, size, rule, constant):
+        """At p = 2 the coefficient-space risks are the grid's within a
+        relative 1e-12."""
+        basis = request.getfixturevalue(family)
+        _, lifted, cell, truth = self._lifted(basis, n, 2, rule, constant, size)
+        assert len(truth) // cell.shape[1] == lifted.shape[1]
+        buf = np.empty(size)
+        got = harness._l2_risks(lifted, *harness._projection(cell, truth, buf))
+        want = harness._grid_risks(lifted, cell, truth, 2, buf)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    @pytest.mark.parametrize("n,size", _GEOMETRIES)
+    def test_projection_scores_exactly_its_residual(self, request, family, n, size):
+        """The truth's level-J projection scores exactly its grid residual;
+        a truth inside the level-J span scores its own coefficients at a
+        risk that is tiny and never negative."""
+        basis = request.getfixturevalue(family)
+        _, lifted, cell, truth = self._lifted(basis, n, 2, "block", 4.0, size)
+        buf = np.empty(size)
+        gram, best, floor = harness._projection(cell, truth, buf)
+        assert harness._l2_risks(best[None], gram, best, floor).tolist() == [floor]
+        assert floor == harness._grid_risks(best[None], cell, truth, 2, buf)[0] > 0
+        inside = np.empty(size)
+        _grid_series(lifted[0], cell, inside)
+        risks = harness._l2_risks(lifted, *harness._projection(cell, inside, buf))
+        assert 0 <= risks[0] < 1e-28
+        np.testing.assert_allclose(risks, harness._grid_risks(lifted, cell, inside, 2, buf),
+                                   rtol=1e-12, atol=1e-28)
 
 
 class TestFitRate:
@@ -258,7 +299,9 @@ class TestRunRateExperiment:
                 public[rep] = [risk(est.tree) for est in estimates]
             row = report.comparison[i]
             got = [report.mean_risk[i], row["hard"], row["soft"]]
-            assert got == [float(drawn[:, k].mean()) for k in range(3)] and got[0] == row["block"]
+            # at p = 2 the run scores in coefficient space: within 1e-12 of the grid
+            np.testing.assert_allclose(got, drawn.mean(axis=0), rtol=1e-12, atol=0)
+            assert got[0] == row["block"]
             np.testing.assert_allclose(got, public.mean(axis=0), rtol=1e-12, atol=0)
 
     def test_ball_gate(self):
@@ -451,7 +494,7 @@ class TestDiagnosePass:
         def no_sample(*args, **kwargs):
             raise AssertionError("a sample was drawn before the range check")
 
-        monkeypatch.setattr(harness, "generate_sample", no_sample)
+        monkeypatch.setattr(harness, "_draw_sample", no_sample)
         fields = {"n_grid": (256, 512, 1024), "moment_level": 2, "moment_index": 1,
                   "conc_level": 2, "conc_block": 0}
         config = ExperimentConfig(signal={"name": "zero"}, **{**fields, **override})
@@ -479,6 +522,30 @@ class TestReplicate:
         finally:
             tracemalloc.stop()
         assert peak <= 7 * 8 * n
+
+
+class TestSeeding:
+    """The closed-form seeds and streams of all R replications equal
+    NumPy's SeedSequence and PCG64, which stay the oracle."""
+
+    R = 50
+
+    @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**63, 2**64 + 5])
+    @pytest.mark.parametrize("n", [256, 1 << 20])
+    def test_seeds_and_streams_equal_numpy(self, master_seed, n):
+        reps = np.arange(self.R, dtype=np.uint32)
+        low, high = harness._replication_words(master_seed, n, [reps])
+        states = [[rng.bit_generator.state for rng in rngs] for rngs in _streams([low, high])]
+        assert len(states) == self.R
+        for rep in (0, self.R - 1):
+            seed = numpy_seed(master_seed, n, rep)
+            assert int(low[rep]) | int(high[rep]) << 32 == seed
+            assert replication_seed(master_seed, n, rep) == seed
+            assert states[rep] == [rng.bit_generator.state for rng in numpy_streams(seed)]
+
+    def test_negative_master_seed_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            replication_seed(-1, 256, 0)
 
 
 # One design of each kind for the engine's per-replication checks.
@@ -521,18 +588,24 @@ class TestReplicationChecks:
 
     @pytest.mark.parametrize("rep", [0, 31, 49])
     def test_non_finite_coefficient_in_one_replication_raises(self, monkeypatch, density, rep):
+        """The draw whose design stream is replication rep's (by NumPy's
+        seeding) gets one NaN; only that one, and the run raises."""
         config, basis, grid, dens, signal = _engine(density)
         bad_seed = harness.replication_seed(config.master_seed, 256, rep)
+        bad_state = numpy_streams(bad_seed)[0].bit_generator.state
+        draw, hits = harness._draw_sample, []
 
-        def one_nan(f, density, n, seed, noiseless=False):
-            sample = generate_sample(f, density, n, seed, noiseless=noiseless)
-            if seed == bad_seed:
+        def one_nan(f, density, n, rngs, noiseless):
+            hits.append(rngs[0].bit_generator.state == bad_state)
+            sample = draw(f, density, n, rngs, noiseless)
+            if hits[-1]:
                 sample.y[7] = np.nan
             return sample
 
-        monkeypatch.setattr(harness, "generate_sample", one_nan)
+        monkeypatch.setattr(harness, "_draw_sample", one_nan)
         with pytest.raises(ValueError, match="finite"):
             harness._replicate(config, basis, grid, dens, signal)
+        assert hits.index(True) == rep and hits.count(True) == 1
 
     @pytest.mark.parametrize("side", ["low", "high"])
     def test_drawn_g_outside_its_bounds_raises(self, monkeypatch, density, side):
