@@ -193,7 +193,9 @@ def _projection(cell: np.ndarray, truth: np.ndarray, buf: np.ndarray):
     rhs = sum(np.roll(cells @ row, -m) for m, row in enumerate(cell))
     k = np.arange(dim)
     best = np.linalg.solve(gram[(k - k[:, None]) % dim], rhs)
-    return gram / len(truth), best, _grid_risks(best[None], cell, truth, 2, buf)[0]
+    _grid_series(best, cell, buf)
+    buf -= truth
+    return gram / len(truth), best, _lp_mean(buf, 2)
 
 
 def _l2_risks(lifted: np.ndarray, gram: np.ndarray, best: np.ndarray,
