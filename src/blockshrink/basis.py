@@ -136,27 +136,6 @@ class WaveletBasis:
         table = self.phi_table if kind == "father" else self.psi_table
         return np.interp(t, self.table_grid(), table, left=0.0, right=0.0)
 
-    def eval(self, kind: str, j: int, k: int, x) -> np.ndarray:
-        """Periodized basis function value: 2^{j/2} sum_l base(2^j (x - l) - k).
-
-        ``kind`` is "father" or "mother"; requires j >= coarsest_level and
-        0 <= k < 2^j.  x may be a scalar or array; values are 1-periodic.
-        """
-        if kind not in ("father", "mother"):
-            raise ValueError(f"kind must be 'father' or 'mother', got {kind!r}")
-        if j < self.coarsest_level:
-            raise ValueError(
-                f"level {j} below coarsest usable level {self.coarsest_level}"
-            )
-        if not 0 <= k < (1 << j):
-            raise ValueError(f"translate k={k} out of range for level {j}")
-        x = np.asarray(x, dtype=float)
-        t = np.ldexp(np.mod(x, 1.0), j) - k
-        total = np.zeros_like(t)
-        for l in (-1, 0, 1):
-            total += self.base(kind, t - l * (1 << j))
-        return 2.0 ** (j / 2.0) * total
-
 
 def coarsest_level(family: str) -> int:
     """First level at which the periodized translates of ``family`` stop overlapping.
@@ -176,15 +155,15 @@ _MIN_DEPTH = {"haar": 8, "db4": 12, "db6": 10}
 def check_refine_depth(family: str, refine_depth: int) -> None:
     """Raise ValueError unless the cascade depth lies in the family's floor..20.
 
-    Below the floor (8 for haar, 12 for db4, 10 for db6) the tables fail the
-    construction-time orthonormality check; above 20 the table (about
+    Below their floors (12, 10) db4 and db6 tables fail the orthonormality
+    check (Haar's closed form passes at any depth); above 20 a table (about
     3 * 2^depth doubles) outgrows memory.  An unknown family raises too.
     """
     coarsest_level(family)
     if not _MIN_DEPTH[family] <= refine_depth <= 20:
         raise ValueError(
             f"refine_depth={refine_depth} out of range for {family}: need {_MIN_DEPTH[family]}..20, "
-            "since shallower tables fail the orthonormality check and deeper ones outgrow memory"
+            "since shallower db4/db6 tables fail the orthonormality check; deeper ones outgrow memory"
         )
 
 
@@ -229,13 +208,12 @@ def _validate_basis(basis: WaveletBasis) -> None:
             f"tabulated integrals of {basis.family} at depth {basis.refine_depth} "
             f"miss their targets (phi: {phi_int:.3e}, psi: {psi_int:.3e})"
         )
-    # Orthonormality of the coarsest periodized scaling family.
+    # Orthonormality of the coarsest periodized scaling family, from the values
+    # every coefficient sum reads; its circulant Gram matrix is I if row 0 is.
     tau = basis.coarsest_level
     grid = 1 << min(tau + 12, 18)
-    x = midpoint_grid(grid)
-    mat = np.stack([basis.eval("father", tau, k, x) for k in range(1 << tau)])
-    gram = mat @ mat.T / grid
-    if np.max(np.abs(gram - np.eye(1 << tau))) > 1e-6:
+    gram = _gram_row(_first_cell(basis, tau, grid), 1 << tau) / grid
+    if np.max(np.abs(gram - np.eye(1 << tau)[0])) > 1e-6:
         raise ValueError(
             f"periodized level-{tau} family of {basis.family} fails the "
             f"orthonormality check at depth {basis.refine_depth}"
@@ -287,7 +265,7 @@ class CoefficientTree:
         return tree
 
 
-def _level_terms(basis: WaveletBasis, kind: str, j: int, x: np.ndarray):
+def _level_terms(basis: WaveletBasis, kind: str, j: int, x: np.ndarray, out=None):
     """Contributing (wrapped translate index, value) pairs of level j at x.
 
     With t = 2^j x and k0 = floor(t), translate k0 - m is evaluated at
@@ -298,27 +276,28 @@ def _level_terms(basis: WaveletBasis, kind: str, j: int, x: np.ndarray):
     One floor serves both scales: q = floor(2^(j + depth) x) gives the
     translate k0 = q >> depth, the table cell q mod 2^depth of t - k0 and the
     exact interpolation weight 2^(j + depth) x - q.  Haar reads no table, so
-    its depth is 0 and the weight is t - k0 itself.
+    its depth is 0 and the weight is t - k0 itself.  ``out``, an (int64,
+    float) pair of arrays of that shape, receives the result when given.
     """
     s = basis.support_length
+    idx, val = out or (None, None)
     depth = 0 if basis.family == "haar" else basis.refine_depth
     frac = np.ldexp(x, j + depth)
     q = np.floor(frac)
     frac -= q
     q = q.astype(np.int64)
-    idx = np.subtract(q >> depth, np.arange(s)[:, None])
+    idx = np.subtract(q >> depth, np.arange(s)[:, None], out=idx)
     idx &= (1 << j) - 1
     amp = 2.0 ** (j / 2.0)
     if basis.family == "haar":
-        val = basis.base(kind, frac)[None, :]
-        val *= amp
-        return idx, val
+        base = basis.base(kind, frac)[None, :]
+        return idx, np.multiply(base, amp, out=base if val is None else val)
     # Row m reads the table from cell m * 2^depth on, at cells i and i + 1;
     # every such cell exists, so "clip" only spares take its bounds check.
     table = basis.phi_table if kind == "father" else basis.psi_table
     i = q & ((1 << depth) - 1)
     rest = 1.0 - frac
-    val = np.empty((s, x.size))
+    val = np.empty((s, x.size)) if val is None else val
     hi = np.empty(x.size)
     for m in range(s):
         row = val[m]
@@ -331,10 +310,10 @@ def _level_terms(basis: WaveletBasis, kind: str, j: int, x: np.ndarray):
     return idx, val
 
 
-def _scaling_sums(basis: WaveletBasis, j: int, x, w) -> np.ndarray:
+def _scaling_sums(basis: WaveletBasis, j: int, x, w, out=None) -> np.ndarray:
     """The weighted sums sum_i w_i phi_{j,k}(x_i) of the 2^j level-j scaling
-    translates, accumulated in the order of ``x``."""
-    idx, val = _level_terms(basis, "father", j, x)
+    translates, accumulated in the order of ``x``; ``out`` as in ``_level_terms``."""
+    idx, val = _level_terms(basis, "father", j, x, out)
     val *= w
     return np.bincount(idx.ravel(), weights=val.ravel(), minlength=1 << j)
 
@@ -428,6 +407,17 @@ def _first_cell(basis: WaveletBasis, top: int, grid_size: int) -> np.ndarray:
     cell of the ``grid_size`` grid, one row per contributing translate."""
     first_cell = (np.arange(grid_size >> top) + 0.5) / grid_size
     return _level_terms(basis, "father", top, first_cell)[1]
+
+
+def _gram_row(cell: np.ndarray, dim: int) -> np.ndarray:
+    """First row of the circulant Gram matrix G = Phi^T Phi of the ``dim``
+    level-J translates, Phi holding their values on the grid whose first
+    level-J cell ``_first_cell`` gave as ``cell``: cell c pairs translates
+    c - m and c - m', so G[k, k'] sums the first-cell products
+    cell[m] . cell[m'] over m - m' = k' - k (mod dim)."""
+    taps = np.arange(len(cell))
+    return np.bincount(((taps[:, None] - taps) % dim).ravel(),
+                       weights=(cell @ cell.T).ravel(), minlength=dim)
 
 
 def _grid_series(alpha: np.ndarray, cell: np.ndarray, out: np.ndarray) -> np.ndarray:

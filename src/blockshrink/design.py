@@ -228,12 +228,23 @@ def _words(value) -> list:
     return words
 
 
-def _running(init: int, mult: int, count: int) -> np.ndarray:
-    """The first ``count`` values init * mult^i mod 2^32 of a running hash
-    constant."""
-    consts = np.full(count, mult, dtype=np.uint32)
-    consts[0] = init
-    return np.multiply.accumulate(consts, dtype=np.uint32)
+@functools.cache
+def _hash_constants(n_entropy: int, n_words: int) -> list:
+    """The (XOR, multiply) constants of NumPy's hash on ``n_entropy`` words,
+    one pair per array operation of ``_seed_state``: word i into pool row i,
+    pool word src into every other row (row src takes a placeholder), each
+    word past the pool into every row, then the ``n_words`` output words.
+    Call k of a hash XORs in its constant k and multiplies by constant k + 1."""
+    def running(init, mult, count):  # the constants init * mult^k mod 2^32
+        return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(count)],
+                        dtype=np.uint32)[:, None]
+
+    calls = _POOL * _POOL + _POOL * max(0, n_entropy - _POOL)
+    src, dst = np.indices((_POOL, _POOL))
+    pairs = _POOL + (_POOL - 1) * src + dst - (dst >= src)  # the call of (src, dst)
+    rows = [np.arange(_POOL), *pairs, *np.arange(_POOL * _POOL, calls).reshape(-1, _POOL)]
+    mixing, output = running(_INIT_A, _MULT_A, calls + 1), running(_INIT_B, _MULT_B, n_words + 1)
+    return [(mixing[r], mixing[r + 1]) for r in rows] + [(output[:-1], output[1:])]
 
 
 def _seed_state(entropy, n_words: int) -> np.ndarray:
@@ -245,20 +256,19 @@ def _seed_state(entropy, n_words: int) -> np.ndarray:
     is one entropy.  The hash is NumPy's: the words fill the pool (zeros
     pad it), every pool word is mixed into every other, any words beyond
     the pool are mixed into each pool word, and the pool is cycled out
-    through a second hash.  Every hashmix call advances the constant, so
-    the calls that hash one word run as one array operation.
+    through a second hash.  Laid out as (words, batch), each word is hashed
+    into all pool rows at once; a pool word's own row is then restored.
     """
     shape = np.broadcast_shapes(*map(np.shape, entropy)) or (1,)
     words = np.zeros((max(len(entropy), _POOL),) + shape, dtype=np.uint32)
     for i, word in enumerate(entropy):
         words[i] = word
-    column = (slice(None),) + (None,) * len(shape)
-    calls = _POOL * _POOL + _POOL * max(0, len(entropy) - _POOL)
-    consts = _running(_INIT_A, _MULT_A, calls + 1)[column]
+    words = words.reshape(len(words), -1)
+    *groups, output = _hash_constants(len(entropy), n_words)
 
-    def hashmix(value, k, count):  # calls k .. k + count - 1
-        value = value ^ consts[k:k + count]
-        value *= consts[k + 1:k + count + 1]
+    def hashmix(value, xor, mult):
+        value = value ^ xor
+        value *= mult
         value ^= value >> 16
         return value
 
@@ -268,20 +278,14 @@ def _seed_state(entropy, n_words: int) -> np.ndarray:
         x ^= x >> 16
         return x
 
-    pool = hashmix(words[:_POOL], 0, _POOL)
-    k = _POOL
+    pool = hashmix(words[:_POOL], *groups[0])
     for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], k, _POOL - 1))
-        k += _POOL - 1
-    for word in words[_POOL:len(entropy)]:
-        pool = mix(pool, hashmix(word, k, _POOL))
-        k += _POOL
-    out = _running(_INIT_B, _MULT_B, n_words + 1)[column]
-    state = pool[np.arange(n_words) % _POOL] ^ out[:-1]
-    state *= out[1:]
-    state ^= state >> 16
-    return state
+        row = pool[src]  # mixed into every row, its own too, which it then restores
+        pool = mix(pool, hashmix(row, *groups[1 + src]))
+        pool[src] = row
+    for word, consts in zip(words[_POOL:len(entropy)], groups[1 + _POOL:]):
+        pool = mix(pool, hashmix(word, *consts))
+    return hashmix(pool[np.arange(n_words) % _POOL], *output).reshape((n_words,) + shape)
 
 
 @functools.cache

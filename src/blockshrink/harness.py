@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import (CoefficientTree, _analysis, _first_cell, _grid_series, _lift,
+from .basis import (CoefficientTree, _analysis, _first_cell, _gram_row, _grid_series, _lift,
                     _scaling_sums, check_refine_depth, coarsest_level, make_basis,
                     midpoint_grid)
 from .besov import ball_from_spec, make_test_function, rate_spec, signal_spec
@@ -45,6 +45,8 @@ _Z95 = 1.959963984540054
 _MAX_RISK_GRID = 1 << 20
 # Largest sample size: one db6 replication at 2^20 peaks near 0.2 GB.
 _MAX_SAMPLE = 1 << 20
+# Most replications: the (R, 2^(j_high + 1)) stack is 0.25 GiB at n = 2^20.
+_MAX_REPLICATIONS = 1 << 16
 
 # Accepted Python types per annotated field type; bool is never a number here.
 _FIELD_TYPES = {
@@ -111,8 +113,9 @@ class ExperimentConfig:
             raise ValueError("n_grid must be strictly increasing")
         if not 256 <= min(ns) <= max(ns) <= _MAX_SAMPLE:
             raise ValueError(f"n_grid entries must lie in 256..{_MAX_SAMPLE}, got {list(ns)!r}")
-        if self.replications < 50:
-            raise ValueError(f"replications must be at least 50, got {self.replications}")
+        if not 50 <= self.replications <= _MAX_REPLICATIONS:
+            raise ValueError(f"replications must lie in 50..{_MAX_REPLICATIONS}, "
+                             f"got {self.replications}")
         if self.d < 0:
             raise ValueError("threshold constant d must be nonnegative")
         if self.term_c <= 0:
@@ -180,15 +183,12 @@ def _projection(cell: np.ndarray, truth: np.ndarray, buf: np.ndarray):
     of the Gram matrix G / N, the projection's coefficients a* and its l^2
     risk, the residual, scored on the grid in ``buf``.
 
-    Phi, the N risk-grid values of the 2^J level-J translates, has a
-    circulant Gram matrix G = Phi^T Phi: cell c pairs translates c - m and
-    c - m', so G[k, k'] sums the first-cell products cell[m] . cell[m'] over
-    m - m' = k' - k (mod 2^J).  a* solves G a* = Phi^T truth.
+    Phi holds the N risk-grid values of the 2^J level-J translates, and
+    G = Phi^T Phi is circulant (see ``basis._gram_row``).  a* solves
+    G a* = Phi^T truth.
     """
     dim = len(truth) // cell.shape[1]
-    taps = np.arange(len(cell))
-    gram = np.bincount(((taps[:, None] - taps) % dim).ravel(),
-                       weights=(cell @ cell.T).ravel(), minlength=dim)
+    gram = _gram_row(cell, dim)
     cells = truth.reshape(dim, -1)  # (Phi^T truth)_k = sum_m cells[k + m] . cell[m]
     rhs = sum(np.roll(cells @ row, -m) for m, row in enumerate(cell))
     k = np.arange(dim)
@@ -269,16 +269,20 @@ def _replicate(config: ExperimentConfig, basis, grid, density, signal) -> Coeffi
     seed drew the points.  The seed fixes that order, so no sort is needed
     for results to replay exactly.  The analysis steps then run once on the
     stack of sums, in replication order, and each row comes out as the
-    replication's tree alone would.
+    replication's tree alone would.  Each db4 or db6 replication writes its
+    (support_length, n) scaling terms into one pair of arrays, which would be
+    mapped and faulted in anew if allocated each time; Haar's rows need not.
     """
     reps = np.arange(config.replications, dtype=np.uint32)
     seeds = _replication_words(config.master_seed, grid.n, [reps])
+    shape = (basis.support_length, grid.n)
+    terms = (np.empty(shape, np.int64), np.empty(shape)) if shape[0] > 1 else None
 
     def one(rngs):
         sample = _draw_sample(signal.fn, density, grid.n, rngs, config.noiseless)
         x, w = sample.x, _weights(sample, sample.g, density)
         del sample  # y and g are spent: free them before the sums' temporaries
-        return _scaling_sums(basis, grid.j_high + 1, x, w)
+        return _scaling_sums(basis, grid.j_high + 1, x, w, terms)
 
     sums = [one(rngs) for rngs in _streams(seeds)]
     return _analysis(basis, grid.j_low, grid.j_high, np.stack(sums))

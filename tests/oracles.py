@@ -1,8 +1,9 @@
 """Direct per-level sums and series evaluation: the oracles of the filter bank;
-the direct per-point basis values: the oracle of ``basis._level_terms``; the
-sum of outer products: the oracle of ``basis._grid_series``; the direct
-inverse CDF: the oracle of the design draw; and NumPy's own SeedSequence
-and PCG64: the oracle of the closed-form seeding.
+the direct per-point basis values and the periodized translates: the oracles
+of ``basis._level_terms`` and the basis check; the sum of outer products: the
+oracle of ``basis._grid_series``; the direct inverse CDF: the oracle of the
+design draw; and NumPy's own SeedSequence and PCG64: the oracle of the
+closed-form seeding.
 
 The package computes every coefficient tree as scaling sums one level above
 the finest detail level plus the periodic analysis filter bank, and every
@@ -43,6 +44,18 @@ def direct_level_terms(basis, kind, j, x):
         cell = i + (m << basis.refine_depth)
         val[m] = amp * (table[cell] * rest + table[cell + 1] * frac)
     return idx, val
+
+
+def periodized(basis, kind, j, k, x):
+    """The periodized translate 2^{j/2} sum_l base(2^j (x - l) - k) of level j
+    at x, over the three copies l = -1, 0, 1 that can reach [0, 1) once
+    2^j >= support_length: each copy read by ``basis.base``, which
+    interpolates the table linearly (Haar in closed form)."""
+    t = np.ldexp(np.mod(np.asarray(x, dtype=float), 1.0), j) - k
+    total = np.zeros_like(t)
+    for l in (-1, 0, 1):
+        total += basis.base(kind, t - l * (1 << j))
+    return 2.0 ** (j / 2.0) * total
 
 
 def direct_sums(basis, kind, j, x, w):

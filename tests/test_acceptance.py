@@ -38,6 +38,7 @@ from blockshrink import (
     run_rate_experiment,
     uniform_design,
 )
+from oracles import periodized
 
 SEED = 20250801
 N_GRID = (1024, 2048, 4096, 8192, 16384)
@@ -218,7 +219,7 @@ def test_criterion_6_oracle_equivalence():
         ]
         for kind, j, estimates, truth in checks:
             for k in range(len(estimates)):
-                terms = weights * basis.eval(kind, j, k, sample.x)
+                terms = weights * periodized(basis, kind, j, k, sample.x)
                 stderr = terms.std(ddof=1) / math.sqrt(n)
                 z = abs(estimates[k] - truth[k]) / stderr
                 worst_overall = max(worst_overall, z)

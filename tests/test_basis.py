@@ -1,6 +1,7 @@
 """Wavelet basis construction, evaluation, quadrature and synthesis."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from blockshrink import (
     midpoint_grid,
     synthesize,
 )
-from blockshrink.basis import (_analysis, _first_cell, _forward_step, _grid_series,
-                               _inverse_step, _level_terms, _lift, _scaling_sums)
+from blockshrink import basis as basis_module
+from blockshrink.basis import (_analysis, _first_cell, _forward_step, _gram_row, _grid_series,
+                               _inverse_step, _level_terms, _lift, _scaling_sums,
+                               _validate_basis)
 from oracles import (direct_coefficients, direct_evaluate, direct_level_terms, direct_sums,
-                     outer_series)
+                     outer_series, periodized)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -74,11 +77,29 @@ class TestMakeBasis:
 
     @pytest.mark.parametrize("family,floor", [("haar", 8), ("db4", 12), ("db6", 10)])
     def test_depth_floor_per_family(self, family, floor):
-        """The shallowest depth whose tables pass the orthonormality check
-        builds; one level shallower is refused naming refine_depth."""
+        """The floor builds; one level shallower is refused naming
+        refine_depth."""
         assert make_basis(family, floor).refine_depth == floor
         with pytest.raises(ValueError, match=f"refine_depth={floor - 1} out of range for"):
             make_basis(family, floor - 1)
+
+    @pytest.mark.parametrize("family,floor", [("db4", 12), ("db6", 10)])
+    def test_depth_floor_is_the_orthonormality_check(self, monkeypatch, family, floor):
+        """The floors of db4 and db6 are where their tables start to pass the
+        orthonormality check: one level shallower, built past the range
+        check, misses the identity by more than 1e-6 (1.2e-6 and 3.3e-6)."""
+        monkeypatch.setattr(basis_module, "check_refine_depth", lambda *args: None)
+        make_basis(family, floor)
+        with pytest.raises(ValueError, match="fails the orthonormality check"):
+            make_basis(family, floor - 1)
+
+    @pytest.mark.parametrize("depth", [3, 7])
+    def test_haar_tables_pass_below_the_floor(self, monkeypatch, depth):
+        """Haar's values are in closed form, so its tables pass both checks
+        at any depth; its floor of 8 bounds only what `blockshrink basis`
+        writes."""
+        monkeypatch.setattr(basis_module, "check_refine_depth", lambda *args: None)
+        assert make_basis("haar", depth).refine_depth == depth
 
     def test_depth_capped(self):
         # the cascade table holds about 3 * 2^depth doubles
@@ -94,39 +115,34 @@ class TestMakeBasis:
 
 
 class TestEval:
+    """The periodized translates that ``oracles.periodized`` reads off the
+    tables, the direct evaluation the package's fast paths are checked by."""
+
     def test_haar_mother_positive_lobe(self, haar):
-        assert haar.eval("mother", 1, 0, 0.125) == pytest.approx(SQRT2, abs=1e-15)
+        assert periodized(haar, "mother", 1, 0, 0.125) == pytest.approx(SQRT2, abs=1e-15)
         # psi(t) = phi(2t) - phi(2t - 1): the jump at t = 1/2 takes the lower value
-        assert haar.eval("mother", 1, 0, 0.25) == pytest.approx(-SQRT2, abs=1e-15)
+        assert periodized(haar, "mother", 1, 0, 0.25) == pytest.approx(-SQRT2, abs=1e-15)
 
     def test_haar_mother_outside_support(self, haar):
-        assert haar.eval("mother", 1, 0, 0.75) == 0.0
+        assert periodized(haar, "mother", 1, 0, 0.75) == 0.0
 
     def test_haar_father_partition(self, haar):
         # disjoint supports: exactly one translate is active at each point
         x = midpoint_grid(256)
-        total = sum(haar.eval("father", 3, k, x) for k in range(8))
+        total = sum(periodized(haar, "father", 3, k, x) for k in range(8))
         assert np.allclose(total, 2.0**1.5)
 
     def test_db4_matches_deeper_table(self, db4):
         fine = make_basis("db4", db4.refine_depth + 2)
         tau = db4.coarsest_level
         x = np.linspace(0.0, 1.0, 257)
-        a = db4.eval("father", tau, 0, x)
-        b = fine.eval("father", tau, 0, x)
+        a = periodized(db4, "father", tau, 0, x)
+        b = periodized(fine, "father", tau, 0, x)
         assert np.max(np.abs(a - b)) < 2.0**-db4.refine_depth
 
     def test_periodization_wraps(self, haar):
         # the translate overlapping 1 reappears at 0
-        assert haar.eval("father", 0, 0, 0.0) == haar.eval("father", 0, 0, 1.0)
-
-    def test_translate_out_of_range(self, haar):
-        with pytest.raises(ValueError, match="out of range"):
-            haar.eval("mother", 2, 4, 0.5)
-
-    def test_level_below_coarsest(self, db4):
-        with pytest.raises(ValueError, match="coarsest"):
-            db4.eval("mother", 1, 0, 0.5)
+        assert periodized(haar, "father", 0, 0, 0.0) == periodized(haar, "father", 0, 0, 1.0)
 
 
 class TestLevelTerms:
@@ -153,6 +169,20 @@ class TestLevelTerms:
                 assert val.shape == idx.shape == (s, x.size)
                 np.testing.assert_allclose(val / 2.0 ** (j / 2.0), oracle[:s], rtol=0, atol=1e-13)
                 np.testing.assert_array_equal(idx, (k0 - np.arange(s)[:, None]) % (1 << j))
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    def test_out_receives_the_same_terms(self, request, family):
+        """Written into given arrays, as ``_replicate`` reuses them, the
+        terms are the same bits."""
+        basis = request.getfixturevalue(family)
+        x = np.random.default_rng(5).random(1000)
+        for kind in ("father", "mother"):
+            idx, val = _level_terms(basis, kind, 6, x)
+            out = (np.full(idx.shape, -1), np.full(val.shape, np.nan))
+            got = _level_terms(basis, kind, 6, x, out)
+            assert got[0] is out[0] and got[1] is out[1]
+            np.testing.assert_array_equal(got[0], idx)
+            np.testing.assert_array_equal(got[1], val)
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
     def test_equals_the_direct_terms_exactly(self, request, family):
@@ -212,7 +242,7 @@ class TestExactCoefficients:
 
     def test_single_atom_orthonormality(self, haar):
         x = midpoint_grid(1 << 14)
-        tree = exact_coefficients(haar, haar.eval("mother", 3, 5, x), 0, 5)
+        tree = exact_coefficients(haar, periodized(haar, "mother", 3, 5, x), 0, 5)
         assert tree.detail(3)[5] == pytest.approx(1.0, abs=1e-8)
         rest = np.abs(tree.alpha).max()
         for j in range(0, 6):
@@ -312,7 +342,8 @@ class TestSynthesize:
         tree = CoefficientTree(0, 2, np.zeros(1), [np.zeros(1), np.zeros(2), np.zeros(4)])
         tree.detail(2)[1] = 1.0
         x = midpoint_grid(2048)
-        assert np.max(np.abs(synthesize(haar, tree, 2048) - haar.eval("mother", 2, 1, x))) < 1e-12
+        atom = periodized(haar, "mother", 2, 1, x)
+        assert np.max(np.abs(synthesize(haar, tree, 2048) - atom)) < 1e-12
 
     def test_heavisine_projection_residual(self, haar):
         sig = make_test_function("heavisine", haar, jmax=8)
@@ -498,9 +529,39 @@ class TestOrthonormality:
         tau = basis.coarsest_level
         grid = 1 << gridexp
         x = midpoint_grid(grid)
-        fns = [basis.eval("father", tau, k, x) for k in range(1 << tau)]
+        fns = [periodized(basis, "father", tau, k, x) for k in range(1 << tau)]
         for j in range(tau, 7):
-            fns.extend(basis.eval("mother", j, k, x) for k in range(1 << j))
+            fns.extend(periodized(basis, "mother", j, k, x) for k in range(1 << j))
         mat = np.stack(fns)
         gram = mat @ mat.T / grid
         assert np.max(np.abs(gram - np.eye(len(fns)))) < tol
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    def test_gram_row_equals_the_dense_gram(self, request, family):
+        """The fold of the first cell's products is the first row of the
+        dense Phi Phi^T of the periodized translates on the whole grid, and
+        Phi Phi^T is circulant, for every level up to 6 and grids of 2, 16
+        and 4096 points per level-J cell."""
+        basis = request.getfixturevalue(family)
+        for j in range(basis.coarsest_level, 7):
+            dim = 1 << j
+            k = np.arange(dim)
+            for per_cell in (2, 16, 4096):
+                grid = per_cell * dim
+                x = midpoint_grid(grid)
+                dense = np.zeros((dim, dim))
+                for lo in range(0, grid, 1 << 14):  # at most 8 MiB of values at once
+                    mat = np.stack([periodized(basis, "father", j, t, x[lo:lo + (1 << 14)])
+                                    for t in k])
+                    dense += mat @ mat.T
+                row = _gram_row(_first_cell(basis, j, grid), dim)
+                np.testing.assert_allclose(row[(k - k[:, None]) % dim] / grid, dense / grid,
+                                           rtol=0, atol=1e-15)
+
+    def test_scaled_table_fails_only_the_orthonormality_check(self, db4):
+        """A father table off by a factor 1 + 1e-5 keeps its integrals within
+        the integral checks' 2^(-depth/2) but puts the Gram diagonal 2e-5
+        away from 1."""
+        scaled = replace(db4, phi_table=db4.phi_table * (1 + 1e-5))
+        with pytest.raises(ValueError, match="fails the orthonormality check"):
+            _validate_basis(scaled)

@@ -103,6 +103,8 @@ class TestParseConfig:
 
 _MALFORMED = [
     ({"replications": "100"}, "replications", "replications-str"),
+    ({"replications": 49}, "replications must lie in 50..65536", "replications-too-few"),
+    ({"replications": 2**40}, "replications must lie in 50..65536", "replications-too-many"),
     ({"n_grid": 1024}, "n_grid", "n_grid-int"),
     ({"density": {"kind": "linear-tilt"}}, "density", "tilt-no-slope"),
     ({"ball": {"s": 1}}, "ball", "ball-no-pi"),
@@ -330,6 +332,21 @@ class TestDispatch:
         assert main(["rates", "--config", str(cfg), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "n_grid" in err
+        assert calls == []
+        assert not out.exists()
+
+    def test_rates_too_many_replications_exits_two_before_drawing(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        """2^40 replications would not fit in memory, and reps past 2^32
+        would reuse the seed words of rep 0; the run is refused up front."""
+        calls = []
+        monkeypatch.setattr(harness, "_draw_sample", lambda *a, **k: calls.append(a))
+        cfg = write_config(tmp_path / "c.json", replications=2**40)
+        out = tmp_path / "out"
+        assert main(["rates", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: replications must lie in 50..65536" in err
+        assert "Traceback" not in err
         assert calls == []
         assert not out.exists()
 

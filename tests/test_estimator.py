@@ -29,7 +29,7 @@ from blockshrink import (
 )
 from blockshrink.basis import CoefficientTree, _coefficient_tree
 from blockshrink.estimator import _canonical_order, _weights
-from oracles import direct_sums
+from oracles import direct_sums, periodized
 
 # Largest |pyramid - direct sums| per unit of sum_i |w_i| that the oracle
 # property allows.  Haar's pyramid and direct sums differ only by rounding.
@@ -196,7 +196,7 @@ class TestEmpiricalCoefficients:
         w = s.y / density.pdf(s.x)
         for j in range(grid.j_low, 5):
             for k in range(1 << j):
-                terms = w * haar.eval("mother", j, k, s.x)
+                terms = w * periodized(haar, "mother", j, k, s.x)
                 stderr = terms.std(ddof=1) / math.sqrt(n)
                 assert abs(tree.detail(j)[k] - sig.tree.detail(j)[k]) <= 3.0 * stderr
 
@@ -339,10 +339,10 @@ class TestEmpiricalCoefficients:
         basis = request.getfixturevalue(family)
         grid = block_grid(4096, 2.0, basis.coarsest_level)
         tree = _coefficient_tree(basis, grid.j_low, grid.j_high, np.array([x]), [0.7])
-        want = [0.7 * basis.eval("father", grid.j_low, k, x) for k in range(1 << grid.j_low)]
+        want = [0.7 * periodized(basis, "father", grid.j_low, k, x) for k in range(1 << grid.j_low)]
         np.testing.assert_allclose(tree.alpha, want, rtol=0, atol=1e-14)
         for j in grid.levels():
-            want = [0.7 * basis.eval("mother", j, k, x) for k in range(1 << j)]
+            want = [0.7 * periodized(basis, "mother", j, k, x) for k in range(1 << j)]
             np.testing.assert_allclose(tree.detail(j), want, rtol=0, atol=1e-14)
 
     def test_noiseless_consistency_rate(self, haar):

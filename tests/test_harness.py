@@ -35,7 +35,7 @@ from blockshrink import harness
 from blockshrink.basis import _coefficient_tree, _first_cell, _grid_series, _lift
 from blockshrink.design import _streams
 from blockshrink.estimator import _weights
-from oracles import numpy_seed, numpy_streams
+from oracles import numpy_seed, numpy_streams, periodized
 
 
 class TestLpRisk:
@@ -51,7 +51,7 @@ class TestLpRisk:
 
     def test_unit_atom_has_unit_energy(self, haar):
         x = midpoint_grid(1 << 14)
-        atom = haar.eval("mother", 3, 2, x)
+        atom = periodized(haar, "mother", 3, 2, x)
         assert harness._lp_mean(atom - np.zeros_like(atom), 2.0) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -522,6 +522,32 @@ class TestReplicate:
         finally:
             tracemalloc.stop()
         assert peak <= 7 * 8 * n
+
+    def test_terms_arrays_are_reused_across_replications(self, monkeypatch):
+        """A multi-tap family's (support_length, n) scaling terms go into
+        one pair of arrays for all replications of an n, so that no
+        replication maps arrays that large afresh; Haar's are not kept."""
+        seen = []
+        sums = harness._scaling_sums
+
+        def spy(basis, j, x, w, out=None):
+            seen.append(out)
+            return sums(basis, j, x, w, out)
+
+        monkeypatch.setattr(harness, "_scaling_sums", spy)
+        n = 1 << 12
+        for family, kept in (("db6", True), ("haar", False)):
+            seen.clear()
+            config = ExperimentConfig(basis_family=family, n_grid=(n,), replications=50)
+            basis, density, signal = harness._materialize(config)
+            grid = block_grid(n, config.p, basis.coarsest_level)
+            harness._replicate(replace(config, replications=3), basis, grid, density, signal)
+            assert len(seen) == 3
+            if kept:
+                assert all(out is seen[0] for out in seen)
+                assert seen[0][0].shape == seen[0][1].shape == (basis.support_length, n)
+            else:
+                assert seen == [None] * 3
 
 
 class TestSeeding:
