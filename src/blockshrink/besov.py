@@ -221,8 +221,9 @@ class TestFunction:
     ball_radius: float = None
 
 
-def signal_spec(spec, j0: int, jmax: int) -> dict:
-    """The signal spec as a mapping, checked as ``make_test_function`` needs it.
+def signal_spec(spec, j0: int, jmax: int) -> tuple:
+    """The signal's name, and for a ``random_besov`` spec its BesovBall and
+    seed (else None twice), checked as ``make_test_function`` needs them.
 
     ``jmax`` must lie between the basis's coarsest level ``j0`` and 12 (desk
     scale).  Raises ValueError naming ``jmax``, the signal name, or the
@@ -238,7 +239,7 @@ def signal_spec(spec, j0: int, jmax: int) -> dict:
         name = spec["name"]
         if name not in SIGNAL_NAMES:
             raise ValueError(f"unknown signal name {name!r}; known: {', '.join(SIGNAL_NAMES)}")
-        return spec
+        return name, None, None
     params = spec["random_besov"]
     if not isinstance(params, dict):
         raise ValueError(f"signal.random_besov must be an object, got {params!r}")
@@ -247,10 +248,10 @@ def signal_spec(spec, j0: int, jmax: int) -> dict:
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"signal.random_besov seed must be a non-negative integer, got {seed!r}")
     try:
-        ball_from_spec(params)
+        ball = ball_from_spec(params)
     except ValueError as exc:
         raise ValueError(f"signal.random_besov: {exc}") from exc
-    return spec
+    return f"random-besov(s={ball.s}, pi={ball.pi})", ball, int(seed)
 
 
 def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunction:
@@ -265,45 +266,28 @@ def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunctio
     radius (each level's weighted term is at most 1).
     """
     j0 = basis.coarsest_level
-    spec = signal_spec(spec, j0, jmax)
+    name, ball, seed = signal_spec(spec, j0, jmax)
     grid_size = 1 << max(14, jmax + 6)
 
-    if "random_besov" in spec:
-        params = dict(spec["random_besov"])
-        seed = params.pop("seed")
-        ball = ball_from_spec(params)
+    if ball is not None:
         s, inv_pi = float(ball.s), float(_inv(ball.pi))
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xBE50)))
-        levels = list(range(j0 - 1, jmax + 1))
-        coeffs, term_bounds = [], []
-        for j in levels:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xBE50)))
+        mags, coeffs = [], []
+        for j in range(j0 - 1, jmax + 1):
             dim = 1 << max(j, j0)
-            mag = 2.0 ** (-j * (s + 0.5 - inv_pi)) * 2.0 ** (-j * inv_pi)
+            mags.append(np.full(dim, 2.0 ** (-j * (s + 0.5 - inv_pi)) * 2.0 ** (-j * inv_pi)))
             u = rng.uniform(0.5, 1.0, dim)
-            signs = rng.choice([-1.0, 1.0], dim)
-            coeffs.append(mag * u * signs)
-            # weighted seminorm term of this level at the extreme draw u = 1
-            width = 1.0 if inv_pi == 0.0 else float(dim) ** inv_pi
-            term_bounds.append(2.0 ** (j * (s + 0.5 - inv_pi)) * mag * width)
+            coeffs.append(mags[-1] * u * rng.choice([-1.0, 1.0], dim))
         tree = CoefficientTree(j0=j0, jmax=jmax, alpha=coeffs[0], beta=coeffs[1:])
-        bounds = np.asarray(term_bounds)
-        if ball.r == INF:
-            radius = float(bounds.max())
-        else:
-            radius = float(np.sum(bounds ** float(ball.r)) ** (1.0 / float(ball.r)))
+        # the draw at u = 1, whose seminorm bounds every draw's
+        bound = CoefficientTree(j0=j0, jmax=jmax, alpha=mags[0], beta=mags[1:])
 
         def fn(x, _basis=basis, _tree=tree):
             return evaluate_tree(_basis, _tree, x)
 
-        return TestFunction(
-            name=f"random-besov(s={ball.s}, pi={ball.pi})",
-            fn=fn,
-            values=fn(midpoint_grid(grid_size)),
-            tree=tree,
-            ball_radius=radius,
-        )
+        return TestFunction(name=name, fn=fn, values=fn(midpoint_grid(grid_size)), tree=tree,
+                            ball_radius=besov_seminorm(bound, ball.s, ball.pi, ball.r))
 
-    name = spec.get("name")
     if name in _NORMALIZED:
         raw = _NORMALIZED[name]
         peak = float(np.max(np.abs(raw(midpoint_grid(1 << 16)))))

@@ -51,21 +51,23 @@ class DesignDensity:
         return np.asarray(self.values)[_segment(self.breaks, x)]
 
     def draw(self, u):
-        """The design points x, the inverse CDF at u (mapping [0, 1) onto
-        [0, 1)), and the density g at them, read off the inverse-CDF segment
-        each u falls in, so no point is searched twice."""
+        """The design points x, the inverse CDF at u (mapping [0, 1) into
+        [0, 1]), and the density g at them, read off the inverse-CDF segment
+        each u falls in, so no point is searched twice.  x is capped at 1:
+        rounding, or piecewise masses that sum to 1 - 1e-9, would carry the
+        top of [0, 1) past it."""
         u = np.asarray(u, dtype=float)
         if self.kind == "uniform":
             return u, np.ones_like(u)
         if self.kind == "linear-tilt":
             a = self.slope
             b = 1.0 - 0.5 * a
-            x = (np.sqrt(b * b + 2.0 * a * u) - b) / a
+            x = np.minimum((np.sqrt(b * b + 2.0 * a * u) - b) / a, 1.0)
             return x, b + a * x
         cuts, lefts, prevs, vals = self._segments
         seg = _segment(cuts, u)
         g = vals[seg]
-        return lefts[seg] + (u - prevs[seg]) / g, g
+        return np.minimum(lefts[seg] + (u - prevs[seg]) / g, 1.0), g
 
 
 def _segment(edges, u) -> np.ndarray:

@@ -67,6 +67,8 @@ def block_grid(n: int, p: float, min_level: int = 0) -> BlockGrid:
     ln_n = math.log(n)
     try:
         block_size = int(math.floor(ln_n ** (p / 2.0)))
+        if block_size >= 1 << 63:  # block edges are int64
+            raise OverflowError
     except OverflowError:
         raise ValueError(f"p={p} out of range: block size (ln n)^(p/2) overflows") from None
     j_low = int(math.floor((p / 2.0) * math.log2(ln_n)))

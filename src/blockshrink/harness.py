@@ -116,14 +116,12 @@ class ExperimentConfig:
         if not 50 <= self.replications <= _MAX_REPLICATIONS:
             raise ValueError(f"replications must lie in 50..{_MAX_REPLICATIONS}, "
                              f"got {self.replications}")
-        if self.d < 0:
-            raise ValueError("threshold constant d must be nonnegative")
+        for name in ("d", "master_seed", "slope_tol", "moment_tol", "conc_mu"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name}={value} must be nonnegative")
         if self.term_c <= 0:
             raise ValueError(f"term_c={self.term_c} must be positive")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed={self.master_seed} must be non-negative")
-        if self.conc_mu is not None and self.conc_mu < 0:
-            raise ValueError(f"conc_mu={self.conc_mu} must be nonnegative")
         if not 1024 <= self.risk_grid <= _MAX_RISK_GRID or self.risk_grid & (self.risk_grid - 1):
             raise ValueError(
                 f"risk_grid={self.risk_grid} must be a power of two from 1024 to {_MAX_RISK_GRID}"

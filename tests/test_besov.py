@@ -16,6 +16,7 @@ from blockshrink import (
     midpoint_grid,
     rate_spec,
 )
+from blockshrink import besov
 
 INF = math.inf
 
@@ -155,6 +156,37 @@ class TestSeminorm:
         assert abs(t12 - t10) / t10 < 0.02
 
 
+# Ball parameters of the radius tests: pi = 2, sup-type, and finite pi and r.
+_RADIUS_SPECS = [{"s": 2, "pi": 2}, {"s": 1, "pi": "inf"}, {"s": 1.5, "pi": 3, "r": 2},
+                 {"s": 2, "pi": 1, "r": 1}]
+_RADIUS_IDS = ["s2-pi2", "s1-piinf", "s1.5-pi3-r2", "s2-pi1-r1"]
+
+
+def _inv_pi(ball):
+    return 0.0 if ball.pi == INF else float(1 / ball.pi)
+
+
+def _level_magnitude(ball, j):
+    """|coefficient| of a random_besov draw at u = 1 on level j."""
+    s, inv_pi = float(ball.s), _inv_pi(ball)
+    return 2.0 ** (-j * (s + 0.5 - inv_pi)) * 2.0 ** (-j * inv_pi)
+
+
+def _hand_rolled_radius(ball, j0, jmax):
+    """The radius in closed form per level: 2^{j(s + 1/2 - 1/pi)} times the
+    level magnitude times dim^{1/pi}, combined by sup or by the l^r norm."""
+    s, inv_pi = float(ball.s), _inv_pi(ball)
+    terms = []
+    for j in range(j0 - 1, jmax + 1):
+        dim = 1 << max(j, j0)
+        width = 1.0 if inv_pi == 0.0 else float(dim) ** inv_pi
+        terms.append(2.0 ** (j * (s + 0.5 - inv_pi)) * _level_magnitude(ball, j) * width)
+    terms = np.asarray(terms)
+    if ball.r == INF:
+        return float(terms.max())
+    return float(np.sum(terms ** float(ball.r)) ** (1.0 / float(ball.r)))
+
+
 class TestMakeTestFunction:
     def test_constant_tree(self, haar):
         tf = make_test_function("constant", haar, jmax=8)
@@ -184,6 +216,32 @@ class TestMakeTestFunction:
             {"random_besov": {"s": 1.5, "pi": 3, "r": 2, "seed": 4}}, haar, jmax=9
         )
         assert besov_seminorm(tf.tree, 1.5, 3, 2) <= tf.ball_radius
+
+    @pytest.mark.parametrize("family", ["haar", "db4"])
+    @pytest.mark.parametrize("params", _RADIUS_SPECS, ids=_RADIUS_IDS)
+    def test_random_besov_radius_is_the_seminorm_at_u_one(self, request, family, params):
+        basis = request.getfixturevalue(family)
+        jmax = 9
+        tf = make_test_function({"random_besov": {**params, "seed": 3}}, basis, jmax=jmax)
+        ball = BesovBall(params["s"], params["pi"], params.get("r", INF))
+        # the tree every draw lies under: each coefficient at its level's magnitude
+        j0 = basis.coarsest_level
+        mags = [np.full(1 << max(j, j0), _level_magnitude(ball, j)) for j in range(j0 - 1, jmax + 1)]
+        bound = CoefficientTree(j0, jmax, mags[0], mags[1:])
+        assert tf.ball_radius == besov_seminorm(bound, ball.s, ball.pi, ball.r)
+        want = _hand_rolled_radius(ball, j0, jmax)
+        assert tf.ball_radius == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_random_besov_parses_its_ball_once(self, haar, monkeypatch):
+        calls, parse = [], besov.ball_from_spec
+
+        def counting(spec):
+            calls.append(spec)
+            return parse(spec)
+
+        monkeypatch.setattr(besov, "ball_from_spec", counting)
+        make_test_function({"random_besov": {"s": 2, "pi": 2, "seed": 1}}, haar, jmax=6)
+        assert calls == [{"s": 2, "pi": 2}]
 
     def test_values_match_tree_synthesis(self, haar):
         tf = make_test_function({"random_besov": {"s": 2, "pi": 2, "seed": 1}}, haar, jmax=6)

@@ -132,6 +132,9 @@ _MALFORMED = [
     ({"density": {"kind": "piecewise", "breaks": ["a"], "values": [1, 1]}}, "density",
      "piecewise-str"),
     ({"p": 1000}, "p=1000", "p-block-size-overflows"),
+    ({"p": 60}, "p=60", "p-block-size-past-int64"),
+    ({"slope_tol": -1}, "slope_tol=-1 must be nonnegative", "slope_tol-negative"),
+    ({"moment_tol": -0.5}, "moment_tol=-0.5 must be nonnegative", "moment_tol-negative"),
     ({"basis_family": "db6"}, "n=256", "n-too-small-for-db6"),
     ({"n_grid": [256, 512, 10**13]}, "n_grid", "n_grid-too-large"),
     # nested specs: unknown keys are named, and a bool is not a number
@@ -567,7 +570,9 @@ def test_fit_grid_too_small_names_grid(tmp_path, capsys):
     (["--density", "linear-tilt:3"], "--density: density 'linear-tilt:3'"),
     (["--grid", "4"], "--grid: grid_size=4 cannot resolve"),
     (["--basis", "bogus"], "--basis: unknown wavelet family 'bogus'; supported: db4, db6, haar"),
-], ids=["input-missing", "density-unknown", "density-slope", "grid-too-small", "basis-unknown"])
+    (["--p", "60"], "p=60.0 out of range: block size (ln n)^(p/2) overflows"),
+], ids=["input-missing", "density-unknown", "density-slope", "grid-too-small", "basis-unknown",
+        "p-block-size-past-int64"])
 def test_fit_error_names_its_flag_and_makes_no_out_dir(tmp_path, capsys, extra, flag):
     csv = tmp_path / "sample.csv"
     _write_sample(csv)

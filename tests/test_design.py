@@ -176,6 +176,34 @@ class TestDraw:
         assert np.array_equal(s.x, x) and np.array_equal(s.g, g)
 
 
+class TestDrawStaysInUnitInterval:
+    """At the top of [0, 1), rounding or masses that sum to just under 1
+    carry the direct inverse CDF past 1; the draw caps x at 1 and leaves
+    every point the direct inverse CDF keeps in range bit for bit."""
+
+    def test_piecewise_masses_short_of_one(self):
+        density = piecewise_design([0.5], [1.0, 1.0 - 1e-9])  # masses sum to 1 - 5e-10
+        u = np.array([0.25, 0.75, 1.0 - 1e-9, 1.0 - 1e-12, np.nextafter(1.0, 0.0)])
+        want = direct_ppf(density, u)
+        x, g = density.draw(u)
+        inside = want <= 1.0
+        assert inside.sum() == 3
+        assert np.array_equal(x[inside], want[inside]) and np.all(x[~inside] == 1.0)
+        assert np.array_equal(g, density.pdf(x))
+        assert density.draw([1 - 1e-12])[0].tolist() == [1.0]
+
+    def test_tilt_at_the_top_of_the_unit_interval(self):
+        u = np.array([np.nextafter(1.0, 0.0)])
+        over = 0
+        for slope in np.linspace(-1.99, 1.99, 2001):
+            density = linear_tilt_design(float(slope))
+            want = direct_ppf(density, u)
+            x, g = density.draw(u)
+            over += int(want[0] > 1.0)
+            assert x[0] == min(want[0], 1.0) and g[0] == density.pdf(x)[0]
+        assert over > 0  # some slopes overshoot by an ulp without the cap
+
+
 def _design(density, n, seed):
     """The design points generate_sample draws for ``seed``."""
     return generate_sample(np.zeros_like, density, n, seed).x

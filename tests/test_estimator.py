@@ -107,6 +107,15 @@ class TestBlockGrid:
         with pytest.raises(ValueError, match="too small for this basis"):
             block_grid(16, 2.0, 2)
 
+    @pytest.mark.parametrize("n,p_max", [(1024, 45.0), (1 << 20, 33.0)])
+    def test_block_size_past_int64_is_rejected(self, n, p_max):
+        # the block edges are int64: the largest p that fits builds its edges,
+        # the next integer p is out of range like a float overflow
+        g = block_grid(n, p_max, 0)
+        assert g.block_size < 2**63 and g.boundaries(g.j_high)[-1] == 1 << g.j_high
+        with pytest.raises(ValueError, match=rf"p={p_max + 1} out of range: block size"):
+            block_grid(n, p_max + 1, 0)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             block_grid(8, 2.0, 0)
