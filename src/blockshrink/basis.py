@@ -265,57 +265,77 @@ class CoefficientTree:
         return tree
 
 
-def _level_terms(basis: WaveletBasis, kind: str, j: int, x: np.ndarray, out=None):
-    """Contributing (wrapped translate index, value) pairs of level j at x.
+def _level_rows(basis: WaveletBasis, kind: str, j: int, x: np.ndarray, out=None):
+    """Yield the contributing (wrapped translate index, value) rows of level j
+    at x, one per m = 0 .. support_length - 1, in n-length buffers that each
+    next row overwrites, so a caller may scale a row in place.  ``out``, three
+    such arrays (int64, float, float) for the index, the value and the
+    interpolation scratch, serves as the buffers when given; Haar's single
+    row needs none.
 
     With t = 2^j x and k0 = floor(t), translate k0 - m is evaluated at
     t - k0 + m, which lies in [m, m + 1).  The support is [0, support_length],
-    so only m = 0 .. support_length - 1 can be nonzero; periodization is the
-    wrap k mod 2^j.  Returns arrays of shape (support_length, len(x)).
+    so only these m can be nonzero; periodization is the wrap k mod 2^j.
 
     One floor serves both scales: q = floor(2^(j + depth) x) gives the
     translate k0 = q >> depth, the table cell q mod 2^depth of t - k0 and the
     exact interpolation weight 2^(j + depth) x - q.  Haar reads no table, so
-    its depth is 0 and the weight is t - k0 itself.  ``out``, an (int64,
-    float) pair of arrays of that shape, receives the result when given.
+    its depth is 0, the weight is t - k0 itself, and it has a single row.
     """
-    s = basis.support_length
-    idx, val = out or (None, None)
     depth = 0 if basis.family == "haar" else basis.refine_depth
     frac = np.ldexp(x, j + depth)
     q = np.floor(frac)
     frac -= q
     q = q.astype(np.int64)
-    idx = np.subtract(q >> depth, np.arange(s)[:, None], out=idx)
-    idx &= (1 << j) - 1
     amp = 2.0 ** (j / 2.0)
+    wrap = (1 << j) - 1
     if basis.family == "haar":
-        base = basis.base(kind, frac)[None, :]
-        return idx, np.multiply(base, amp, out=base if val is None else val)
+        q &= wrap
+        val = basis.base(kind, frac)
+        val *= amp
+        yield q, val
+        return
     # Row m reads the table from cell m * 2^depth on, at cells i and i + 1;
     # every such cell exists, so "clip" only spares take its bounds check.
     table = basis.phi_table if kind == "father" else basis.psi_table
     i = q & ((1 << depth) - 1)
+    q >>= depth
     rest = 1.0 - frac
-    val = np.empty((s, x.size)) if val is None else val
-    hi = np.empty(x.size)
-    for m in range(s):
-        row = val[m]
-        table[m << depth:].take(i, out=row, mode="clip")
-        row *= rest
+    idx, val, hi = out or (np.empty_like(q), np.empty(x.size), np.empty(x.size))
+    for m in range(basis.support_length):
+        np.subtract(q, m, out=idx)
+        idx &= wrap
+        table[m << depth:].take(i, out=val, mode="clip")
+        val *= rest
         table[(m << depth) + 1:].take(i, out=hi, mode="clip")
         hi *= frac
-        row += hi
-        row *= amp
+        val += hi
+        val *= amp
+        yield idx, val
+
+
+def _level_terms(basis: WaveletBasis, kind: str, j: int, x: np.ndarray):
+    """``_level_rows`` stacked: arrays of shape (support_length, len(x))."""
+    shape = (basis.support_length, x.size)
+    idx, val = np.empty(shape, np.int64), np.empty(shape)
+    for m, row in enumerate(_level_rows(basis, kind, j, x)):
+        idx[m], val[m] = row
     return idx, val
 
 
 def _scaling_sums(basis: WaveletBasis, j: int, x, w, out=None) -> np.ndarray:
     """The weighted sums sum_i w_i phi_{j,k}(x_i) of the 2^j level-j scaling
-    translates, accumulated in the order of ``x``; ``out`` as in ``_level_terms``."""
-    idx, val = _level_terms(basis, "father", j, x, out)
+    translates, accumulated in the order of ``x``, one translate row after
+    another: the additions of one ``bincount`` over the stacked rows.
+    ``out`` as in ``_level_rows``."""
+    rows = _level_rows(basis, "father", j, x, out)
+    idx, val = next(rows)
     val *= w
-    return np.bincount(idx.ravel(), weights=val.ravel(), minlength=1 << j)
+    sums = np.bincount(idx, weights=val, minlength=1 << j)
+    for idx, val in rows:
+        val *= w
+        np.add.at(sums, idx, val)
+    return sums
 
 
 def _analysis(basis: WaveletBasis, j0: int, jmax: int, scaling: np.ndarray) -> CoefficientTree:
@@ -380,8 +400,11 @@ def evaluate_tree(basis: WaveletBasis, tree: CoefficientTree, x) -> np.ndarray:
     lift it to its top level, then evaluate that level's scaling translates."""
     x = np.mod(np.asarray(x, dtype=float), 1.0)
     top, alpha = _lift(basis, tree)
-    idx, val = _level_terms(basis, "father", top, x)
-    return np.einsum("mi,mi->i", alpha[idx], val)
+    out = np.zeros(x.size)
+    for idx, val in _level_rows(basis, "father", top, x):
+        val *= alpha[idx]
+        out += val
+    return out
 
 
 def synthesize(basis: WaveletBasis, tree: CoefficientTree, grid_size: int) -> np.ndarray:

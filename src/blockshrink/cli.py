@@ -100,31 +100,31 @@ def _cmd_basis(args) -> int:
     return 0
 
 
+def _flagged(flag: str, fn, *args, errors=ValueError):
+    """``fn(*args)``, with the message of an error in ``errors`` prefixed by
+    the flag whose value caused it."""
+    try:
+        return fn(*args)
+    except errors as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
+
+
 def _cmd_fit(args) -> int:
     started_at = datetime.now(timezone.utc)
     if not 1 <= args.grid <= _MAX_RISK_GRID or args.grid & (args.grid - 1):
         raise ConfigError(f"--grid={args.grid} must be a power of two up to {_MAX_RISK_GRID}")
-    try:
-        coarsest_level(args.basis)
-    except ValueError as exc:
-        raise ValueError(f"--basis: {exc}") from exc
-    basis = make_basis(args.basis, args.refine_depth)
-    try:
-        sample = read_sample_csv(args.input)
-    except (ValueError, OSError) as exc:
-        raise ValueError(f"--input: {exc}") from exc
-    try:
-        density = density_from_spec(args.density)
-    except ValueError as exc:
-        raise ValueError(f"--density: {exc}") from exc
-    try:
-        est = blockshrink(sample, density, basis, args.p, args.d)
+    _flagged("--basis", coarsest_level, args.basis)
+    basis = _flagged("--refine-depth", make_basis, args.basis, args.refine_depth)
+    sample = _flagged("--input", read_sample_csv, args.input, errors=(ValueError, OSError))
+    density = _flagged("--density", density_from_spec, args.density)
+    try:  # block_grid checks n before p
+        block_grid(sample.n, args.p, basis.coarsest_level)
     except SampleSizeError as exc:
         raise ValueError(f"--input: sample file {args.input}: {exc}") from exc
-    try:
-        values = synthesize(basis, est.tree, args.grid)
     except ValueError as exc:
-        raise ValueError(f"--grid: {exc}") from exc
+        raise ValueError(f"--p: {exc}") from exc
+    est = _flagged("--d", blockshrink, sample, density, basis, args.p, args.d)
+    values = _flagged("--grid", synthesize, basis, est.tree, args.grid)
     # out_dir is made only once every input has passed its checks
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -121,8 +121,9 @@ def empirical_coefficients(
     if sample.n < 1:
         raise ValueError("sample is empty")
     order, xs = _canonical_order(sample.x, sample.y)
-    w = _weights(sample, density.pdf(sample.x), density)
-    return _coefficient_tree(basis, grid.j_low, grid.j_high, xs, w[order])
+    w = _weights(sample, density.pdf(sample.x), density)[order]
+    del order  # the permutation and the unsorted weights are spent before the sums
+    return _coefficient_tree(basis, grid.j_low, grid.j_high, xs, w)
 
 
 def _canonical_order(x, y):

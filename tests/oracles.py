@@ -1,7 +1,8 @@
 """Direct per-level sums and series evaluation: the oracles of the filter bank;
 the direct per-point basis values and the periodized translates: the oracles
 of ``basis._level_terms`` and the basis check; the sum of outer products: the
-oracle of ``basis._grid_series``; the direct inverse CDF: the oracle of the
+oracle of ``basis._grid_series``; the einsum of the stacked terms: the oracle
+of ``basis.evaluate_tree``; the direct inverse CDF: the oracle of the
 design draw; and NumPy's own SeedSequence and PCG64: the oracle of the
 closed-form seeding.
 
@@ -19,6 +20,7 @@ with the full cumulative masses and clips it, as the sampler once did.
 import numpy as np
 
 from blockshrink import CoefficientTree, midpoint_grid
+from blockshrink.basis import _level_terms, _lift
 
 
 def direct_level_terms(basis, kind, j, x):
@@ -84,6 +86,15 @@ def direct_evaluate(basis, tree, x):
         idx, val = direct_level_terms(basis, "mother", tree.j0 + i, x)
         out += np.einsum("mi,mi->i", b[idx], val)
     return out
+
+
+def stacked_evaluate(basis, tree, x):
+    """The tree's series at x as ``basis.evaluate_tree`` once summed it: one
+    ``einsum`` over the stacked top-level terms of ``basis._level_terms``."""
+    x = np.mod(np.asarray(x, dtype=float), 1.0)
+    top, alpha = _lift(basis, tree)
+    idx, val = _level_terms(basis, "father", top, x)
+    return np.einsum("mi,mi->i", alpha[idx], val)
 
 
 def outer_series(alpha, cell):

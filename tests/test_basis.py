@@ -18,10 +18,10 @@ from blockshrink import (
 )
 from blockshrink import basis as basis_module
 from blockshrink.basis import (_analysis, _first_cell, _forward_step, _gram_row, _grid_series,
-                               _inverse_step, _level_terms, _lift, _scaling_sums,
+                               _inverse_step, _level_rows, _level_terms, _lift, _scaling_sums,
                                _validate_basis)
 from oracles import (direct_coefficients, direct_evaluate, direct_level_terms, direct_sums,
-                     outer_series, periodized)
+                     outer_series, periodized, stacked_evaluate)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -172,17 +172,19 @@ class TestLevelTerms:
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
     def test_out_receives_the_same_terms(self, request, family):
-        """Written into given arrays, as ``_replicate`` reuses them, the
-        terms are the same bits."""
+        """Written into given buffers, as ``_replicate`` reuses them, each
+        translate row is the stacked terms' row, bit for bit."""
         basis = request.getfixturevalue(family)
         x = np.random.default_rng(5).random(1000)
         for kind in ("father", "mother"):
             idx, val = _level_terms(basis, kind, 6, x)
-            out = (np.full(idx.shape, -1), np.full(val.shape, np.nan))
-            got = _level_terms(basis, kind, 6, x, out)
-            assert got[0] is out[0] and got[1] is out[1]
-            np.testing.assert_array_equal(got[0], idx)
-            np.testing.assert_array_equal(got[1], val)
+            out = (np.full(x.size, -1), np.full(x.size, np.nan), np.full(x.size, np.nan))
+            for m, (got_idx, got_val) in enumerate(_level_rows(basis, kind, 6, x, out)):
+                if basis.support_length > 1:
+                    assert got_idx is out[0] and got_val is out[1]
+                np.testing.assert_array_equal(got_idx, idx[m])
+                np.testing.assert_array_equal(got_val, val[m])
+            assert m == basis.support_length - 1
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
     def test_equals_the_direct_terms_exactly(self, request, family):
@@ -432,6 +434,21 @@ class TestEvaluateTree:
         lifted = np.max(np.abs(evaluate_tree(basis, tree, x) - reference))
         direct = np.max(np.abs(direct_evaluate(basis, tree, x) - reference))
         assert lifted <= direct
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    @pytest.mark.parametrize("n", [1000, 1 << 14])
+    def test_equals_the_stacked_einsum_exactly(self, request, family, n):
+        """Adding one translate row at a time into zeros gives the bits of
+        the einsum over the stacked rows."""
+        basis = request.getfixturevalue(family)
+        tree = make_test_function(
+            {"random_besov": {"s": 2, "pi": 2, "seed": 1}}, basis, jmax=8
+        ).tree
+        x = np.concatenate([np.random.default_rng(n).random(n), midpoint_grid(1 << 10),
+                            [0.0, np.nextafter(1.0, 0.0)]])
+        got = evaluate_tree(basis, tree, x)
+        want = stacked_evaluate(basis, tree, x)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
     def test_matches_synthesize_on_the_grid(self, request, family):

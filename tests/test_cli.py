@@ -570,9 +570,12 @@ def test_fit_grid_too_small_names_grid(tmp_path, capsys):
     (["--density", "linear-tilt:3"], "--density: density 'linear-tilt:3'"),
     (["--grid", "4"], "--grid: grid_size=4 cannot resolve"),
     (["--basis", "bogus"], "--basis: unknown wavelet family 'bogus'; supported: db4, db6, haar"),
-    (["--p", "60"], "p=60.0 out of range: block size (ln n)^(p/2) overflows"),
+    (["--p", "60"], "--p: p=60.0 out of range: block size (ln n)^(p/2) overflows"),
+    (["--p", "1"], "--p: p=1.0 out of range (need finite p >= 2)"),
+    (["--d", "-1"], "--d: threshold constant d=-1.0 must be finite and nonnegative"),
+    (["--refine-depth", "3"], "--refine-depth: refine_depth=3 out of range for haar: need 8..20"),
 ], ids=["input-missing", "density-unknown", "density-slope", "grid-too-small", "basis-unknown",
-        "p-block-size-past-int64"])
+        "p-block-size-past-int64", "p-below-two", "d-negative", "refine-depth-too-shallow"])
 def test_fit_error_names_its_flag_and_makes_no_out_dir(tmp_path, capsys, extra, flag):
     csv = tmp_path / "sample.csv"
     _write_sample(csv)

@@ -1,6 +1,7 @@
 """Block geometry, empirical coefficients, and the thresholding rules."""
 
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal, getcontext
 
@@ -434,6 +435,27 @@ class TestBlockShrink:
             noise_kept += sum(bool(est.kept[j - grid.j_low][b]) for j, b in noise_blocks)
         assert kept_dominant == reps
         assert noise_kept <= 0.10 * reps * len(noise_blocks)
+
+    @pytest.mark.parametrize("family", ["db4", "db6"])
+    def test_working_set(self, request, family):
+        """On a 2^16-point sample the fit holds at most about nine n-length
+        arrays at once, the sample included: the scaling terms are added one
+        translate row at a time, and the sort permutation and the unsorted
+        weights are freed before the sums."""
+        basis = request.getfixturevalue(family)
+        n = 1 << 16
+        rng = np.random.default_rng(8)
+        x = rng.random(n)
+        sample = Sample(n, x, np.sin(6.0 * x) + rng.standard_normal(n))
+        blockshrink(sample, uniform_design(), basis)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            blockshrink(sample, uniform_design(), basis)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * n
 
     def test_monotone_in_threshold(self, haar):
         sig = make_test_function("heavisine", haar, jmax=8)

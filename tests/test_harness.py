@@ -503,30 +503,44 @@ class TestDiagnosePass:
 
 
 class TestReplicate:
-    def test_working_set_of_one_replication(self):
-        """At n = 2^14 a replication holds at most about six n-length arrays at
-        once.  Ten made glibc trim and regrow the heap on every replication of
-        the README config: about 25k minor page faults per run."""
-        n = 1 << 14
-        config = ExperimentConfig(density={"kind": "linear-tilt", "slope": 0.5},
-                                  n_grid=(n,), replications=50)
+    N = 1 << 14
+
+    def _peak(self, family):
+        """Traced peak of the second replication of two at n = 2^14."""
+        config = ExperimentConfig(basis_family=family,
+                                  density={"kind": "linear-tilt", "slope": 0.5},
+                                  n_grid=(self.N,), replications=50)
         basis, density, signal = harness._materialize(config)
-        grid = block_grid(n, config.p, basis.coarsest_level)
+        grid = block_grid(self.N, config.p, basis.coarsest_level)
         config = replace(config, replications=2)
         harness._replicate(config, basis, grid, density, signal)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             harness._replicate(config, basis, grid, density, signal)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * 8 * n
+
+    def test_working_set_of_one_replication(self):
+        """At n = 2^14 a Haar replication holds at most about six n-length
+        arrays at once.  Ten made glibc trim and regrow the heap on every
+        replication of the README config: about 25k minor page faults per
+        run."""
+        assert self._peak("haar") <= 7 * 8 * self.N
+
+    @pytest.mark.parametrize("family", ["db4", "db6"])
+    def test_working_set_of_one_multitap_replication(self, family):
+        """A db4 or db6 replication adds its scaling terms one translate row
+        at a time, so it holds no (support_length, n) arrays: at most about
+        nine n-length arrays at once."""
+        assert self._peak(family) <= 10 * 8 * self.N
 
     def test_terms_arrays_are_reused_across_replications(self, monkeypatch):
-        """A multi-tap family's (support_length, n) scaling terms go into
-        one pair of arrays for all replications of an n, so that no
-        replication maps arrays that large afresh; Haar's are not kept."""
+        """A multi-tap family's translate rows go into three n-length arrays
+        for all replications of an n: allocated per replication, they made a
+        one-shot ``diagnose`` trim and regrow the heap every replication
+        (45k minor faults against 13k).  Haar's single row needs none."""
         seen = []
         sums = harness._scaling_sums
 
@@ -545,7 +559,7 @@ class TestReplicate:
             assert len(seen) == 3
             if kept:
                 assert all(out is seen[0] for out in seen)
-                assert seen[0][0].shape == seen[0][1].shape == (basis.support_length, n)
+                assert [a.shape for a in seen[0]] == [(n,)] * 3
             else:
                 assert seen == [None] * 3
 
