@@ -314,15 +314,6 @@ def _level_rows(basis: WaveletBasis, kind: str, j: int, x: np.ndarray, out=None)
         yield idx, val
 
 
-def _level_terms(basis: WaveletBasis, kind: str, j: int, x: np.ndarray):
-    """``_level_rows`` stacked: arrays of shape (support_length, len(x))."""
-    shape = (basis.support_length, x.size)
-    idx, val = np.empty(shape, np.int64), np.empty(shape)
-    for m, row in enumerate(_level_rows(basis, kind, j, x)):
-        idx[m], val[m] = row
-    return idx, val
-
-
 def _scaling_sums(basis: WaveletBasis, j: int, x, w, out=None) -> np.ndarray:
     """The weighted sums sum_i w_i phi_{j,k}(x_i) of the 2^j level-j scaling
     translates, accumulated in the order of ``x``, one translate row after
@@ -397,12 +388,13 @@ def _lift(basis: WaveletBasis, tree: CoefficientTree):
 
 def evaluate_tree(basis: WaveletBasis, tree: CoefficientTree, x) -> np.ndarray:
     """Evaluate the finite wavelet series of ``tree`` at arbitrary points:
-    lift it to its top level, then evaluate that level's scaling translates."""
+    lift it to its top level, then evaluate that level's scaling translates,
+    gathering each row's coefficients into one reused buffer."""
     x = np.mod(np.asarray(x, dtype=float), 1.0)
     top, alpha = _lift(basis, tree)
-    out = np.zeros(x.size)
+    out, coef = np.zeros(x.size), np.empty(x.size)
     for idx, val in _level_rows(basis, "father", top, x):
-        val *= alpha[idx]
+        val *= alpha.take(idx, out=coef, mode="clip")
         out += val
     return out
 
@@ -429,7 +421,7 @@ def _first_cell(basis: WaveletBasis, top: int, grid_size: int) -> np.ndarray:
     """Level-``top`` father values at the midpoints of the first level-top
     cell of the ``grid_size`` grid, one row per contributing translate."""
     first_cell = (np.arange(grid_size >> top) + 0.5) / grid_size
-    return _level_terms(basis, "father", top, first_cell)[1]
+    return np.array([val.copy() for _, val in _level_rows(basis, "father", top, first_cell)])
 
 
 def _gram_row(cell: np.ndarray, dim: int) -> np.ndarray:
@@ -495,10 +487,10 @@ def concentration_ratio(basis: WaveletBasis, j: int, m: float, grid_size: int) -
         raise ValueError("m must be positive")
     if grid_size < 1 << (j + 4):
         raise ValueError(f"grid_size={grid_size} too coarse for level {j}")
-    x = midpoint_grid(grid_size)
-    _, val = _level_terms(basis, "mother", j, x)
     # Distinct rows hit distinct translates for every j >= coarsest_level
     # (aliasing would need 2^j <= support_length with a nonzero wrapped term,
     # which the support inspection rules out for the built-in families).
-    total = np.abs(val) ** m
-    return float(total.sum(axis=0).max() * 2.0 ** (-j * m / 2.0))
+    total = np.zeros(grid_size)
+    for _, val in _level_rows(basis, "mother", j, midpoint_grid(grid_size)):
+        total += np.abs(val) ** m
+    return float(total.max() * 2.0 ** (-j * m / 2.0))

@@ -1,8 +1,9 @@
 """Direct per-level sums and series evaluation: the oracles of the filter bank;
 the direct per-point basis values and the periodized translates: the oracles
-of ``basis._level_terms`` and the basis check; the sum of outer products: the
-oracle of ``basis._grid_series``; the einsum of the stacked terms: the oracle
-of ``basis.evaluate_tree``; the direct inverse CDF: the oracle of the
+of ``basis._level_rows`` and the basis check; the sum of outer products: the
+oracle of ``basis._grid_series``; the einsum and the column sums of the
+stacked rows: the oracles of ``basis.evaluate_tree`` and
+``basis.concentration_ratio``; the direct inverse CDF: the oracle of the
 design draw; and NumPy's own SeedSequence and PCG64: the oracle of the
 closed-form seeding.
 
@@ -20,7 +21,7 @@ with the full cumulative masses and clips it, as the sampler once did.
 import numpy as np
 
 from blockshrink import CoefficientTree, midpoint_grid
-from blockshrink.basis import _level_terms, _lift
+from blockshrink.basis import _level_rows, _lift
 
 
 def direct_level_terms(basis, kind, j, x):
@@ -88,13 +89,27 @@ def direct_evaluate(basis, tree, x):
     return out
 
 
+def stacked_rows(basis, kind, j, x):
+    """Copies of the rows of ``basis._level_rows``, stacked into (translate
+    index, value) arrays of shape (support_length, len(x))."""
+    rows = [(idx.copy(), val.copy()) for idx, val in _level_rows(basis, kind, j, x)]
+    return np.array([idx for idx, _ in rows]), np.array([val for _, val in rows])
+
+
 def stacked_evaluate(basis, tree, x):
     """The tree's series at x as ``basis.evaluate_tree`` once summed it: one
-    ``einsum`` over the stacked top-level terms of ``basis._level_terms``."""
+    ``einsum`` over the stacked top-level rows."""
     x = np.mod(np.asarray(x, dtype=float), 1.0)
     top, alpha = _lift(basis, tree)
-    idx, val = _level_terms(basis, "father", top, x)
+    idx, val = stacked_rows(basis, "father", top, x)
     return np.einsum("mi,mi->i", alpha[idx], val)
+
+
+def stacked_concentration(basis, j, m, grid_size):
+    """``basis.concentration_ratio`` as it once was computed: the column sums
+    of |psi|^m over the stacked level-j rows on the midpoint grid."""
+    _, val = stacked_rows(basis, "mother", j, midpoint_grid(grid_size))
+    return float((np.abs(val) ** m).sum(axis=0).max() * 2.0 ** (-j * m / 2.0))
 
 
 def outer_series(alpha, cell):

@@ -18,10 +18,11 @@ from blockshrink import (
 )
 from blockshrink import basis as basis_module
 from blockshrink.basis import (_analysis, _first_cell, _forward_step, _gram_row, _grid_series,
-                               _inverse_step, _level_rows, _level_terms, _lift, _scaling_sums,
+                               _inverse_step, _level_rows, _lift, _scaling_sums,
                                _validate_basis)
 from oracles import (direct_coefficients, direct_evaluate, direct_level_terms, direct_sums,
-                     outer_series, periodized, stacked_evaluate)
+                     outer_series, periodized, stacked_concentration, stacked_evaluate,
+                     stacked_rows)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -165,25 +166,26 @@ class TestLevelTerms:
                 k0 = np.floor(t).astype(np.int64)
                 oracle = np.stack([basis.base(kind, t - k0 + m) for m in range(s + 1)])
                 assert np.all(oracle[s] == 0.0)
-                idx, val = _level_terms(basis, kind, j, x)
-                assert val.shape == idx.shape == (s, x.size)
-                np.testing.assert_allclose(val / 2.0 ** (j / 2.0), oracle[:s], rtol=0, atol=1e-13)
-                np.testing.assert_array_equal(idx, (k0 - np.arange(s)[:, None]) % (1 << j))
+                for m, (idx, val) in enumerate(_level_rows(basis, kind, j, x)):
+                    assert val.shape == idx.shape == (x.size,)
+                    np.testing.assert_allclose(val / 2.0 ** (j / 2.0), oracle[m], rtol=0, atol=1e-13)
+                    np.testing.assert_array_equal(idx, (k0 - m) % (1 << j))
+                assert m == s - 1
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
     def test_out_receives_the_same_terms(self, request, family):
         """Written into given buffers, as ``_replicate`` reuses them, each
-        translate row is the stacked terms' row, bit for bit."""
+        translate row is the row of its own buffers, bit for bit."""
         basis = request.getfixturevalue(family)
         x = np.random.default_rng(5).random(1000)
         for kind in ("father", "mother"):
-            idx, val = _level_terms(basis, kind, 6, x)
             out = (np.full(x.size, -1), np.full(x.size, np.nan), np.full(x.size, np.nan))
-            for m, (got_idx, got_val) in enumerate(_level_rows(basis, kind, 6, x, out)):
+            rows = zip(_level_rows(basis, kind, 6, x), _level_rows(basis, kind, 6, x, out))
+            for m, ((idx, val), (got_idx, got_val)) in enumerate(rows):
                 if basis.support_length > 1:
                     assert got_idx is out[0] and got_val is out[1]
-                np.testing.assert_array_equal(got_idx, idx[m])
-                np.testing.assert_array_equal(got_val, val[m])
+                np.testing.assert_array_equal(got_idx, idx)
+                np.testing.assert_array_equal(got_val, val)
             assert m == basis.support_length - 1
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
@@ -205,9 +207,10 @@ class TestLevelTerms:
             ])
             w = rng.standard_normal(x.size)
             for kind in ("father", "mother"):
-                idx, val = _level_terms(basis, kind, j, x)
                 want_idx, want_val = direct_level_terms(basis, kind, j, x)
-                assert np.array_equal(idx, want_idx) and np.array_equal(val, want_val)
+                for m, (idx, val) in enumerate(_level_rows(basis, kind, j, x)):
+                    assert np.array_equal(idx, want_idx[m]) and np.array_equal(val, want_val[m])
+                assert m == basis.support_length - 1
             assert np.array_equal(_scaling_sums(basis, j, x, w),
                                   direct_sums(basis, "father", j, x, w))
 
@@ -234,6 +237,18 @@ class TestConcentration:
     def test_grid_too_coarse(self, haar):
         with pytest.raises(ValueError, match="too coarse"):
             concentration_ratio(haar, 5, 2.0, 256)
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    def test_equals_the_stacked_column_sums_exactly(self, request, family):
+        """Adding |psi|^m one translate row at a time into zeros gives the
+        bits of the column sums over the stacked rows, at the acceptance
+        test's grids."""
+        basis = request.getfixturevalue(family)
+        for j in range(basis.coarsest_level, 11):
+            for m in (1.0, 2.0, 4.0):
+                for grid in {1 << max(j + 4, 12), 1 << (j + 7)}:
+                    assert concentration_ratio(basis, j, m, grid) == stacked_concentration(
+                        basis, j, m, grid)
 
 
 class TestExactCoefficients:
@@ -415,6 +430,16 @@ class TestGridSeries:
             assert got is out
             assert out.tobytes() == outer_series(alpha, cell).tobytes()
         assert not np.signbit(_grid_series(np.full(1 << top, -0.0), cell, out)).any()
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    @pytest.mark.parametrize("top,grid", [(4, 1 << 10), (6, 1 << 14)])
+    def test_first_cell_is_the_stacked_rows(self, request, family, top, grid):
+        """The first cell's values are copies of the father rows at its
+        midpoints, one row per contributing translate."""
+        basis = request.getfixturevalue(family)
+        points = midpoint_grid(grid)[: grid >> top]
+        want = stacked_rows(basis, "father", top, points)[1]
+        assert np.array_equal(_first_cell(basis, top, grid), want)
 
 
 class TestEvaluateTree:
