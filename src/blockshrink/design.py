@@ -60,9 +60,11 @@ class DesignDensity:
         if self.kind == "uniform":
             return u, np.ones_like(u)
         if self.kind == "linear-tilt":
+            # the root of a x^2 / 2 + b x = u as 2u / (b + sqrt(b^2 + 2au)),
+            # which, unlike (sqrt(b^2 + 2au) - b) / a, does not cancel as a -> 0
             a = self.slope
             b = 1.0 - 0.5 * a
-            x = np.minimum((np.sqrt(b * b + 2.0 * a * u) - b) / a, 1.0)
+            x = np.minimum(2.0 * u / (b + np.sqrt(b * b + 2.0 * a * u)), 1.0)
             return x, b + a * x
         cuts, lefts, prevs, vals = self._segments
         seg = _segment(cuts, u)

@@ -129,7 +129,7 @@ def direct_ppf(density, u):
     if density.kind == "linear-tilt":
         a = density.slope
         b = 1.0 - 0.5 * a
-        return (np.sqrt(b * b + 2.0 * a * u) - b) / a
+        return 2.0 * u / (b + np.sqrt(b * b + 2.0 * a * u))
     edges = np.array([0.0, *density.breaks, 1.0])
     cum = np.cumsum(np.diff(edges) * np.asarray(density.values))
     vals = np.asarray(density.values)

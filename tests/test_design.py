@@ -1,6 +1,7 @@
 """Design densities, sampling determinism, and the observation model."""
 
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -202,6 +203,34 @@ class TestDrawStaysInUnitInterval:
             over += int(want[0] > 1.0)
             assert x[0] == min(want[0], 1.0) and g[0] == density.pdf(x)[0]
         assert over > 0  # some slopes overshoot by an ulp without the cap
+
+
+class TestTiltAccuracy:
+    """The tilt's inverse CDF against the root of b x + a x^2 / 2 = u, with
+    b = 1 - a/2, computed to 50 digits: small slopes, where the textbook
+    (sqrt(b^2 + 2au) - b) / a cancels to nothing, small u and u near 1."""
+
+    @staticmethod
+    def _root(slope, u):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a = Decimal(slope)
+            b = 1 - a / 2
+            return np.array([float(2 * v / (b + (b * b + 2 * a * v).sqrt()))
+                             for v in map(Decimal, u.tolist())])
+
+    @pytest.mark.parametrize("slope", [1e-17, -1e-17, 1e-12, -1e-12, 1e-3, -1e-3, 0.5, -0.5,
+                                       1.0, -1.0, 1.5, -1.5, 1.99])
+    def test_within_three_ulp_of_a_50_digit_reference(self, slope):
+        rng = np.random.default_rng(8)
+        tiny = np.ldexp(1.0, -np.arange(1, 53))
+        u = np.concatenate([[0.0], tiny, np.ldexp(rng.random(64), -40), rng.random(256),
+                            1.0 - tiny])
+        x, g = linear_tilt_design(slope).draw(u)
+        want = self._root(slope, u)
+        assert np.all(np.abs(x - want) <= 3 * np.spacing(want))
+        if abs(slope) < 1e-16:  # the tilt vanishes below the rounding of b
+            assert np.array_equal(x, u) and np.all(g == 1.0)
 
 
 def _design(density, n, seed):
