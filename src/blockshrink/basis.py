@@ -387,16 +387,17 @@ def _lift(basis: WaveletBasis, tree: CoefficientTree):
 
 
 def evaluate_tree(basis: WaveletBasis, tree: CoefficientTree, x) -> np.ndarray:
-    """Evaluate the finite wavelet series of ``tree`` at arbitrary points:
-    lift it to its top level, then evaluate that level's scaling translates,
-    gathering each row's coefficients into one reused buffer."""
+    """Evaluate the finite wavelet series of ``tree`` at arbitrary points, of
+    any shape (a scalar for a scalar): lift it to its top level, then
+    evaluate that level's scaling translates, gathering each row's
+    coefficients into one reused buffer."""
     x = np.mod(np.asarray(x, dtype=float), 1.0)
     top, alpha = _lift(basis, tree)
     out, coef = np.zeros(x.size), np.empty(x.size)
-    for idx, val in _level_rows(basis, "father", top, x):
+    for idx, val in _level_rows(basis, "father", top, x.ravel()):
         val *= alpha.take(idx, out=coef, mode="clip")
         out += val
-    return out
+    return out.reshape(x.shape)[()]
 
 
 def synthesize(basis: WaveletBasis, tree: CoefficientTree, grid_size: int) -> np.ndarray:

@@ -476,6 +476,22 @@ class TestEvaluateTree:
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    def test_takes_points_of_any_shape(self, request, family):
+        """A scalar gives a scalar and an array its own shape, holding the
+        values the flat points give."""
+        basis = request.getfixturevalue(family)
+        fn = make_test_function({"random_besov": {"s": 2, "pi": 2, "seed": 1}}, basis, jmax=8).fn
+        x = np.random.default_rng(9).random(6)
+        flat = fn(x)
+        assert flat.shape == (6,)
+        for i, point in enumerate(x.tolist()):
+            got = fn(point)
+            assert np.ndim(got) == 0 and got == flat[i]
+        assert fn(x[:1]).shape == (1,) and fn(x[:1])[0] == flat[0]
+        grid = fn(x.reshape(2, 3))
+        assert grid.shape == (2, 3) and np.array_equal(grid, flat.reshape(2, 3))
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
     def test_matches_synthesize_on_the_grid(self, request, family):
         basis = request.getfixturevalue(family)
         tree = make_test_function(
