@@ -351,7 +351,7 @@ def read_sample_csv(path) -> Sample:
     """Read the columns named x and y (in any order) of a CSV file with a header row.
 
     A UTF-8 byte-order mark before the header is skipped.  Raises ValueError
-    quoting the header when it names no x or no y column.
+    quoting the header when it names no x or no y column, or either twice.
     """
     with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().rstrip("\r\n")
@@ -360,6 +360,9 @@ def read_sample_csv(path) -> Sample:
         raise ValueError(
             f"sample file {path} needs a header naming columns x and y, read {header!r}"
         )
+    for name in ("x", "y"):
+        if names.count(name) > 1:
+            raise ValueError(f"sample file {path} names column {name} twice, read {header!r}")
     try:
         with warnings.catch_warnings():
             # a file with no data rows is a sample of size 0, which the caller rejects

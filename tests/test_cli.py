@@ -511,6 +511,7 @@ _BAD_INPUT = [
     ("", "needs a header naming columns x and y, read ''", "fit-input-empty"),
     ("\ufeffx,y\n0.1,1.0\n0.2,2.0\n", "n=2 too small", "fit-input-bom"),
     ("a,y\n0.1,1.0\n", "needs a header naming columns x and y, read 'a,y'", "fit-input-no-x"),
+    ("x,x,y\n0.1,0.2,1.0\n", "names column x twice, read 'x,x,y'", "fit-input-x-twice"),
     ("x,y\n0.1,1.0\n0.2,2.0\n", "n=2 too small", "fit-input-n-2"),
     ("x,y\n" + "0.5,1.0\n" * 20 + "1.5,2.0\n", "must lie in [0, 1]", "fit-input-x-outside"),
 ]

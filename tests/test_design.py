@@ -356,3 +356,12 @@ class TestGenerateSample:
         path.write_text(text)
         with pytest.raises(ValueError, match="bad.csv"):
             read_sample_csv(path)
+
+    @pytest.mark.parametrize("header", ["x,x,y", "x,y,y", "y, x,x"])
+    def test_csv_header_naming_a_column_twice(self, tmp_path, header):
+        """Which of two like-named columns is meant is not known: the file
+        is rejected, quoting its header."""
+        path = tmp_path / "twice.csv"
+        path.write_text(header + "\n0.1,0.2,1.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"twice, read {header!r}")):
+            read_sample_csv(path)
