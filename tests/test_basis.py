@@ -168,14 +168,15 @@ class TestLevelTerms:
                 assert np.all(oracle[s] == 0.0)
                 for m, (idx, val) in enumerate(_level_rows(basis, kind, j, x)):
                     assert val.shape == idx.shape == (x.size,)
-                    np.testing.assert_allclose(val / 2.0 ** (j / 2.0), oracle[m], rtol=0, atol=1e-13)
+                    np.testing.assert_allclose(val / 2.0 ** (j / 2.0), oracle[m],
+                                               rtol=0, atol=1e-13)
                     np.testing.assert_array_equal(idx, (k0 - m) % (1 << j))
                 assert m == s - 1
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
     def test_out_receives_the_same_terms(self, request, family):
         """Written into given buffers, as ``_replicate`` reuses them, each
-        translate row is the row of its own buffers, bit for bit."""
+        translate row is, bit for bit, the row written into fresh buffers."""
         basis = request.getfixturevalue(family)
         x = np.random.default_rng(5).random(1000)
         for kind in ("father", "mother"):
