@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .basis import (
     CoefficientTree,
     WaveletBasis,
-    concentration_ratio,
     evaluate_tree,
     exact_coefficients,
     make_basis,
@@ -40,7 +39,6 @@ from .estimator import (
     BlockGrid,
     Estimate,
     block_grid,
-    block_statistic,
     block_statistics,
     blockshrink,
     empirical_coefficients,

@@ -265,13 +265,13 @@ class CoefficientTree:
         return tree
 
 
-def _level_rows(basis: WaveletBasis, kind: str, j: int, x: np.ndarray, out=None):
-    """Yield the contributing (wrapped translate index, value) rows of level j
-    at x, one per m = 0 .. support_length - 1, in n-length buffers that each
-    next row overwrites, so a caller may scale a row in place.  ``out``, three
-    such arrays (int64, float, float) for the index, the value and the
-    interpolation scratch, serves as the buffers when given; Haar's single
-    row needs none.
+def _level_rows(basis: WaveletBasis, j: int, x: np.ndarray, out=None):
+    """Yield the contributing (wrapped translate index, value) rows of the
+    level-j scaling translates at x, one per m = 0 .. support_length - 1, in
+    n-length buffers that each next row overwrites, so a caller may scale a
+    row in place.  ``out``, three such arrays (int64, float, float) for the
+    index, the value and the interpolation scratch, serves as the buffers
+    when given; Haar's single row needs none.
 
     With t = 2^j x and k0 = floor(t), translate k0 - m is evaluated at
     t - k0 + m, which lies in [m, m + 1).  The support is [0, support_length],
@@ -279,25 +279,21 @@ def _level_rows(basis: WaveletBasis, kind: str, j: int, x: np.ndarray, out=None)
 
     One floor serves both scales: q = floor(2^(j + depth) x) gives the
     translate k0 = q >> depth, the table cell q mod 2^depth of t - k0 and the
-    exact interpolation weight 2^(j + depth) x - q.  Haar reads no table, so
-    its depth is 0, the weight is t - k0 itself, and it has a single row.
+    exact interpolation weight 2^(j + depth) x - q.  Haar's father is the box
+    on [0, 1), so its single row is translate k0 at the constant 2^(j/2).
     """
-    depth = 0 if basis.family == "haar" else basis.refine_depth
+    amp = 2.0 ** (j / 2.0)
+    wrap = (1 << j) - 1
+    if basis.family == "haar":
+        yield np.floor(np.ldexp(x, j)).astype(np.int64) & wrap, np.full(x.size, amp)
+        return
+    depth = basis.refine_depth
     frac = np.ldexp(x, j + depth)
     q = np.floor(frac)
     frac -= q
     q = q.astype(np.int64)
-    amp = 2.0 ** (j / 2.0)
-    wrap = (1 << j) - 1
-    if basis.family == "haar":
-        q &= wrap
-        val = basis.base(kind, frac)
-        val *= amp
-        yield q, val
-        return
     # Row m reads the table from cell m * 2^depth on, at cells i and i + 1;
     # every such cell exists, so "clip" only spares take its bounds check.
-    table = basis.phi_table if kind == "father" else basis.psi_table
     i = q & ((1 << depth) - 1)
     q >>= depth
     rest = 1.0 - frac
@@ -305,9 +301,9 @@ def _level_rows(basis: WaveletBasis, kind: str, j: int, x: np.ndarray, out=None)
     for m in range(basis.support_length):
         np.subtract(q, m, out=idx)
         idx &= wrap
-        table[m << depth:].take(i, out=val, mode="clip")
+        basis.phi_table[m << depth:].take(i, out=val, mode="clip")
         val *= rest
-        table[(m << depth) + 1:].take(i, out=hi, mode="clip")
+        basis.phi_table[(m << depth) + 1:].take(i, out=hi, mode="clip")
         hi *= frac
         val += hi
         val *= amp
@@ -319,7 +315,7 @@ def _scaling_sums(basis: WaveletBasis, j: int, x, w, out=None) -> np.ndarray:
     translates, accumulated in the order of ``x``, one translate row after
     another: the additions of one ``bincount`` over the stacked rows.
     ``out`` as in ``_level_rows``."""
-    rows = _level_rows(basis, "father", j, x, out)
+    rows = _level_rows(basis, j, x, out)
     idx, val = next(rows)
     val *= w
     sums = np.bincount(idx, weights=val, minlength=1 << j)
@@ -394,7 +390,7 @@ def evaluate_tree(basis: WaveletBasis, tree: CoefficientTree, x) -> np.ndarray:
     x = np.mod(np.asarray(x, dtype=float), 1.0)
     top, alpha = _lift(basis, tree)
     out, coef = np.zeros(x.size), np.empty(x.size)
-    for idx, val in _level_rows(basis, "father", top, x.ravel()):
+    for idx, val in _level_rows(basis, top, x.ravel()):
         val *= alpha.take(idx, out=coef, mode="clip")
         out += val
     return out.reshape(x.shape)[()]
@@ -422,7 +418,7 @@ def _first_cell(basis: WaveletBasis, top: int, grid_size: int) -> np.ndarray:
     """Level-``top`` father values at the midpoints of the first level-top
     cell of the ``grid_size`` grid, one row per contributing translate."""
     first_cell = (np.arange(grid_size >> top) + 0.5) / grid_size
-    return np.array([val.copy() for _, val in _level_rows(basis, "father", top, first_cell)])
+    return np.array([val.copy() for _, val in _level_rows(basis, top, first_cell)])
 
 
 def _gram_row(cell: np.ndarray, dim: int) -> np.ndarray:
@@ -473,25 +469,3 @@ def exact_coefficients(
         )
     grid = len(values)
     return _coefficient_tree(basis, j0, jmax, midpoint_grid(grid), values / grid)
-
-
-def concentration_ratio(basis: WaveletBasis, j: int, m: float, grid_size: int) -> float:
-    """Empirical constant of the level-j translate concentration bound.
-
-    Returns max_x 2^{-jm/2} sum_k |psi_{j,k}(x)|^m over the midpoint grid.
-    Compact support bounds this uniformly in j, so the returned value
-    estimates the best constant of the bound sum_k |psi_{j,k}(x)|^m <= C 2^{jm/2}.
-    """
-    if j < basis.coarsest_level:
-        raise ValueError(f"level {j} below coarsest usable level {basis.coarsest_level}")
-    if m <= 0:
-        raise ValueError("m must be positive")
-    if grid_size < 1 << (j + 4):
-        raise ValueError(f"grid_size={grid_size} too coarse for level {j}")
-    # Distinct rows hit distinct translates for every j >= coarsest_level
-    # (aliasing would need 2^j <= support_length with a nonzero wrapped term,
-    # which the support inspection rules out for the built-in families).
-    total = np.zeros(grid_size)
-    for _, val in _level_rows(basis, "mother", j, midpoint_grid(grid_size)):
-        total += np.abs(val) ** m
-    return float(total.max() * 2.0 ** (-j * m / 2.0))

@@ -211,12 +211,11 @@ SIGNAL_NAMES = tuple(sorted((*_NORMALIZED, *_RAW)))
 
 @dataclass(eq=False)
 class TestFunction:
-    """A target function with its values on a midpoint grid, its coefficient
-    tree and, for a ``random_besov`` signal, its Besov ball radius."""
+    """A target function with its coefficient tree and, for a
+    ``random_besov`` signal, its Besov ball radius."""
 
     name: str
     fn: object
-    values: np.ndarray
     tree: CoefficientTree
     ball_radius: float = None
 
@@ -267,7 +266,6 @@ def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunctio
     """
     j0 = basis.coarsest_level
     name, ball, seed = signal_spec(spec, j0, jmax)
-    grid_size = 1 << max(14, jmax + 6)
 
     if ball is not None:
         s, inv_pi = float(ball.s), float(_inv(ball.pi))
@@ -285,7 +283,7 @@ def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunctio
         def fn(x, _basis=basis, _tree=tree):
             return evaluate_tree(_basis, _tree, x)
 
-        return TestFunction(name=name, fn=fn, values=fn(midpoint_grid(grid_size)), tree=tree,
+        return TestFunction(name=name, fn=fn, tree=tree,
                             ball_radius=besov_seminorm(bound, ball.s, ball.pi, ball.r))
 
     if name in _NORMALIZED:
@@ -297,6 +295,5 @@ def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunctio
 
     else:
         fn = _RAW[name]
-    values = fn(midpoint_grid(grid_size))
-    tree = exact_coefficients(basis, values, j0, jmax)
-    return TestFunction(name=name, fn=fn, values=values, tree=tree)
+    tree = exact_coefficients(basis, fn(midpoint_grid(1 << max(14, jmax + 6))), j0, jmax)
+    return TestFunction(name=name, fn=fn, tree=tree)

@@ -84,17 +84,9 @@ def block_grid(n: int, p: float, min_level: int = 0) -> BlockGrid:
                      j_high=j_high, clamped=clamped)
 
 
-def block_statistic(coeffs, p: float) -> float:
-    """Normalized block l^p mean: (mean |c|^p)^(1/p), over the actual block size."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.size == 0:
-        raise ValueError("block must be nonempty")
-    return float(np.mean(np.abs(coeffs) ** p) ** (1.0 / p))
-
-
 def block_statistics(coeffs, edges, p: float) -> np.ndarray:
-    """block_statistic of every block [edges[b], edges[b + 1]) along the last
-    axis of ``coeffs``; ``edges`` runs from 0 to the axis length."""
+    """The normalized l^p mean (mean |c|^p)^(1/p) of each block [edges[b],
+    edges[b + 1]) along the last axis of ``coeffs``; edges span that axis."""
     starts, sizes = edges[:-1], np.diff(edges)
     return (np.add.reduceat(np.abs(coeffs) ** p, starts, axis=-1) / sizes) ** (1.0 / p)
 
@@ -159,7 +151,7 @@ def threshold_tree(raw: CoefficientTree, grid: BlockGrid, rule: str, constant: f
     """Apply one thresholding rule to a copy of the unthresholded tree ``raw``.
 
     ``rule="block"`` keeps a detail block iff its statistic (see
-    block_statistic) reaches constant / sqrt(n) and zeroes it otherwise.
+    block_statistics) reaches constant / sqrt(n) and zeroes it otherwise.
     ``"hard"`` and ``"soft"`` threshold each detail coefficient at
     constant * sqrt(ln n / n); soft also shrinks survivors toward zero by
     that cut.  Scaling coefficients are never thresholded.  A stacked

@@ -1,11 +1,12 @@
 """Direct per-level sums and series evaluation: the oracles of the filter bank;
 the direct per-point basis values and the periodized translates: the oracles
 of ``basis._level_rows`` and the basis check; the sum of outer products: the
-oracle of ``basis._grid_series``; the einsum and the column sums of the
-stacked rows: the oracles of ``basis.evaluate_tree`` and
-``basis.concentration_ratio``; the direct inverse CDF: the oracle of the
-design draw; and NumPy's own SeedSequence and PCG64: the oracle of the
-closed-form seeding.
+oracle of ``basis._grid_series``; the einsum over the stacked rows: the
+oracle of ``basis.evaluate_tree``; the column sums of the direct mother rows:
+the translate concentration of acceptance criterion 5; the scalar block
+statistic: the oracle of ``estimator.block_statistics``; the direct inverse
+CDF: the oracle of the design draw; and NumPy's own SeedSequence and PCG64:
+the oracle of the closed-form seeding.
 
 The package computes every coefficient tree as scaling sums one level above
 the finest detail level plus the periodic analysis filter bank, and every
@@ -89,10 +90,10 @@ def direct_evaluate(basis, tree, x):
     return out
 
 
-def stacked_rows(basis, kind, j, x):
+def stacked_rows(basis, j, x):
     """Copies of the rows of ``basis._level_rows``, stacked into (translate
     index, value) arrays of shape (support_length, len(x))."""
-    rows = [(idx.copy(), val.copy()) for idx, val in _level_rows(basis, kind, j, x)]
+    rows = [(idx.copy(), val.copy()) for idx, val in _level_rows(basis, j, x)]
     return np.array([idx for idx, _ in rows]), np.array([val for _, val in rows])
 
 
@@ -101,15 +102,25 @@ def stacked_evaluate(basis, tree, x):
     ``einsum`` over the stacked top-level rows."""
     x = np.mod(np.asarray(x, dtype=float), 1.0)
     top, alpha = _lift(basis, tree)
-    idx, val = stacked_rows(basis, "father", top, x)
+    idx, val = stacked_rows(basis, top, x)
     return np.einsum("mi,mi->i", alpha[idx], val)
 
 
 def stacked_concentration(basis, j, m, grid_size):
-    """``basis.concentration_ratio`` as it once was computed: the column sums
-    of |psi|^m over the stacked level-j rows on the midpoint grid."""
-    _, val = stacked_rows(basis, "mother", j, midpoint_grid(grid_size))
+    """Empirical constant of the level-j translate concentration bound
+    sum_k |psi_{j,k}(x)|^m <= C 2^{jm/2}: max_x 2^{-jm/2} sum_k |psi_{j,k}(x)|^m
+    over the midpoint grid, as the column sums of |psi|^m over the stacked
+    direct level-j rows.  Compact support bounds it uniformly in j."""
+    _, val = direct_level_terms(basis, "mother", j, midpoint_grid(grid_size))
     return float((np.abs(val) ** m).sum(axis=0).max() * 2.0 ** (-j * m / 2.0))
+
+
+def block_statistic(coeffs, p):
+    """Normalized block l^p mean: (mean |c|^p)^(1/p), over the actual block size."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.size == 0:
+        raise ValueError("block must be nonempty")
+    return float(np.mean(np.abs(coeffs) ** p) ** (1.0 / p))
 
 
 def outer_series(alpha, cell):

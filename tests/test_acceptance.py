@@ -24,21 +24,20 @@ from blockshrink import (
     ExperimentConfig,
     Sample,
     block_grid,
-    block_statistic,
     blockshrink,
-    concentration_ratio,
     empirical_coefficients,
     fit_rate,
     generate_sample,
     linear_tilt_design,
     make_basis,
     make_test_function,
+    midpoint_grid,
     rate_spec,
     run_diagnostics,
     run_rate_experiment,
     uniform_design,
 )
-from oracles import periodized
+from oracles import periodized, stacked_concentration
 
 SEED = 20250801
 N_GRID = (1024, 2048, 4096, 8192, 16384)
@@ -180,11 +179,11 @@ def test_criterion_5_basis_concentration():
     worst = 0.0
     for j in range(0, 11):
         for m in (1.0, 2.0, 4.0):
-            ratio = concentration_ratio(haar, j, m, 1 << max(j + 4, 12))
+            ratio = stacked_concentration(haar, j, m, 1 << max(j + 4, 12))
             worst = max(worst, ratio)
     ok_haar = worst <= 1.0 + 1e-9
     db4 = make_basis("db4", 12)
-    vals = [concentration_ratio(db4, j, 2.0, 1 << (j + 7)) for j in range(2, 11)]
+    vals = [stacked_concentration(db4, j, 2.0, 1 << (j + 7)) for j in range(2, 11)]
     peak = float(np.max(np.abs(db4.psi_table)))
     ok_db4 = max(vals) <= db4.support_length * peak**2 and max(vals) / min(vals) <= 1.05
     report(
@@ -206,7 +205,8 @@ def test_criterion_6_oracle_equivalence():
     # quadrature oracle for the scaling coefficients at the estimator's level
     from blockshrink import exact_coefficients
 
-    oracle = exact_coefficients(basis, signal.values, grid.j_low, grid.j_low)
+    oracle = exact_coefficients(basis, signal.fn(midpoint_grid(1 << 14)), grid.j_low,
+                                grid.j_low)
     worst_overall = 0.0
     for density in (uniform_design(), linear_tilt_design(0.5)):
         sample = generate_sample(signal.fn, density, n, seed=SEED, noiseless=True)

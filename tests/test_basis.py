@@ -8,7 +8,6 @@ import pytest
 
 from blockshrink import (
     CoefficientTree,
-    concentration_ratio,
     evaluate_tree,
     exact_coefficients,
     make_basis,
@@ -160,18 +159,17 @@ class TestLevelTerms:
         rng = np.random.default_rng(11)
         # random points with full mantissas, dyadic nodes, and both ends
         x = np.concatenate([rng.random(4096) / 3.0, np.arange(1 << 10) / (1 << 10), [0.0, 1.0]])
-        for kind in ("father", "mother"):
-            for j in range(basis.coarsest_level, 9):
-                t = np.ldexp(x, j)
-                k0 = np.floor(t).astype(np.int64)
-                oracle = np.stack([basis.base(kind, t - k0 + m) for m in range(s + 1)])
-                assert np.all(oracle[s] == 0.0)
-                for m, (idx, val) in enumerate(_level_rows(basis, kind, j, x)):
-                    assert val.shape == idx.shape == (x.size,)
-                    np.testing.assert_allclose(val / 2.0 ** (j / 2.0), oracle[m],
-                                               rtol=0, atol=1e-13)
-                    np.testing.assert_array_equal(idx, (k0 - m) % (1 << j))
-                assert m == s - 1
+        for j in range(basis.coarsest_level, 9):
+            t = np.ldexp(x, j)
+            k0 = np.floor(t).astype(np.int64)
+            oracle = np.stack([basis.base("father", t - k0 + m) for m in range(s + 1)])
+            assert np.all(oracle[s] == 0.0)
+            for m, (idx, val) in enumerate(_level_rows(basis, j, x)):
+                assert val.shape == idx.shape == (x.size,)
+                np.testing.assert_allclose(val / 2.0 ** (j / 2.0), oracle[m],
+                                           rtol=0, atol=1e-13)
+                np.testing.assert_array_equal(idx, (k0 - m) % (1 << j))
+            assert m == s - 1
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
     def test_out_receives_the_same_terms(self, request, family):
@@ -179,15 +177,14 @@ class TestLevelTerms:
         translate row is, bit for bit, the row written into fresh buffers."""
         basis = request.getfixturevalue(family)
         x = np.random.default_rng(5).random(1000)
-        for kind in ("father", "mother"):
-            out = (np.full(x.size, -1), np.full(x.size, np.nan), np.full(x.size, np.nan))
-            rows = zip(_level_rows(basis, kind, 6, x), _level_rows(basis, kind, 6, x, out))
-            for m, ((idx, val), (got_idx, got_val)) in enumerate(rows):
-                if basis.support_length > 1:
-                    assert got_idx is out[0] and got_val is out[1]
-                np.testing.assert_array_equal(got_idx, idx)
-                np.testing.assert_array_equal(got_val, val)
-            assert m == basis.support_length - 1
+        out = (np.full(x.size, -1), np.full(x.size, np.nan), np.full(x.size, np.nan))
+        rows = zip(_level_rows(basis, 6, x), _level_rows(basis, 6, x, out))
+        for m, ((idx, val), (got_idx, got_val)) in enumerate(rows):
+            if basis.support_length > 1:
+                assert got_idx is out[0] and got_val is out[1]
+            np.testing.assert_array_equal(got_idx, idx)
+            np.testing.assert_array_equal(got_val, val)
+        assert m == basis.support_length - 1
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
     def test_equals_the_direct_terms_exactly(self, request, family):
@@ -207,11 +204,10 @@ class TestLevelTerms:
                 [0.0, np.nextafter(1.0, 0.0), 1.0],
             ])
             w = rng.standard_normal(x.size)
-            for kind in ("father", "mother"):
-                want_idx, want_val = direct_level_terms(basis, kind, j, x)
-                for m, (idx, val) in enumerate(_level_rows(basis, kind, j, x)):
-                    assert np.array_equal(idx, want_idx[m]) and np.array_equal(val, want_val[m])
-                assert m == basis.support_length - 1
+            want_idx, want_val = direct_level_terms(basis, "father", j, x)
+            for m, (idx, val) in enumerate(_level_rows(basis, j, x)):
+                assert np.array_equal(idx, want_idx[m]) and np.array_equal(val, want_val[m])
+            assert m == basis.support_length - 1
             assert np.array_equal(_scaling_sums(basis, j, x, w),
                                   direct_sums(basis, "father", j, x, w))
 
@@ -219,37 +215,21 @@ class TestLevelTerms:
 class TestConcentration:
     def test_haar_is_exactly_one(self, haar):
         for m in (1.0, 2.0, 4.0):
-            assert concentration_ratio(haar, 5, m, 4096) == pytest.approx(1.0, abs=1e-12)
+            assert stacked_concentration(haar, 5, m, 4096) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [1.0, 2.0, 4.0])
     def test_db4_bounded_and_level_stable(self, db4, m):
         peak = np.max(np.abs(db4.psi_table))
         cap = (db4.support_length + 1) * peak**m
-        vals = [concentration_ratio(db4, j, m, 1 << (j + 7)) for j in range(2, 11)]
+        vals = [stacked_concentration(db4, j, m, 1 << (j + 7)) for j in range(2, 11)]
         assert all(v <= cap for v in vals)
         assert max(vals) / min(vals) < 1.05
 
     def test_db4_dense_grid_oracle(self, db4):
         # refining the grid can only raise the observed max, and not by much
-        coarse = concentration_ratio(db4, 6, 2.0, 1 << 11)
-        dense = concentration_ratio(db4, 6, 2.0, 1 << 13)
+        coarse = stacked_concentration(db4, 6, 2.0, 1 << 11)
+        dense = stacked_concentration(db4, 6, 2.0, 1 << 13)
         assert coarse <= dense <= 1.05 * coarse
-
-    def test_grid_too_coarse(self, haar):
-        with pytest.raises(ValueError, match="too coarse"):
-            concentration_ratio(haar, 5, 2.0, 256)
-
-    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
-    def test_equals_the_stacked_column_sums_exactly(self, request, family):
-        """Adding |psi|^m one translate row at a time into zeros gives the
-        bits of the column sums over the stacked rows, at the acceptance
-        test's grids."""
-        basis = request.getfixturevalue(family)
-        for j in range(basis.coarsest_level, 11):
-            for m in (1.0, 2.0, 4.0):
-                for grid in {1 << max(j + 4, 12), 1 << (j + 7)}:
-                    assert concentration_ratio(basis, j, m, grid) == stacked_concentration(
-                        basis, j, m, grid)
 
 
 class TestExactCoefficients:
@@ -439,7 +419,7 @@ class TestGridSeries:
         midpoints, one row per contributing translate."""
         basis = request.getfixturevalue(family)
         points = midpoint_grid(grid)[: grid >> top]
-        want = stacked_rows(basis, "father", top, points)[1]
+        want = stacked_rows(basis, top, points)[1]
         assert np.array_equal(_first_cell(basis, top, grid), want)
 
 

@@ -191,11 +191,11 @@ class TestMakeTestFunction:
     def test_constant_tree(self, haar):
         tf = make_test_function("constant", haar, jmax=8)
         assert tf.tree.alpha[0] == pytest.approx(1.0, abs=1e-10)
-        assert np.max(np.abs(tf.values)) == pytest.approx(1.0)
+        assert np.max(np.abs(tf.fn(midpoint_grid(1 << 14)))) == pytest.approx(1.0)
 
     def test_doppler_normalized(self, haar):
         tf = make_test_function("doppler", haar, jmax=10)
-        assert np.max(np.abs(tf.values)) <= 1.0 + 1e-12
+        assert np.max(np.abs(tf.fn(midpoint_grid(1 << 16)))) <= 1.0 + 1e-12
 
     def test_unknown_name(self, haar):
         with pytest.raises(ValueError, match="unknown signal"):

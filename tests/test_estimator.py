@@ -14,7 +14,6 @@ from blockshrink import (
     BlockGrid,
     Sample,
     block_grid,
-    block_statistic,
     block_statistics,
     blockshrink,
     empirical_coefficients,
@@ -30,7 +29,7 @@ from blockshrink import (
 )
 from blockshrink.basis import CoefficientTree, _coefficient_tree
 from blockshrink.estimator import _canonical_order, _weights
-from oracles import direct_sums, periodized
+from oracles import block_statistic, direct_sums, periodized
 
 # Largest |pyramid - direct sums| per unit of sum_i |w_i| that the oracle
 # property allows.  Haar's pyramid and direct sums differ only by rounding.
