@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -250,6 +251,11 @@ def signal_spec(spec, j0: int, jmax: int) -> tuple:
         ball = ball_from_spec(params)
     except ValueError as exc:
         raise ValueError(f"signal.random_besov: {exc}") from exc
+    # the draw is in floats: at s <= 64 its level weights up to level 12 stay below 2^774
+    for key, top in (("s", 64), ("pi", sys.float_info.max), ("r", sys.float_info.max)):
+        if getattr(ball, key) != INF and getattr(ball, key) > top:
+            raise ValueError(f"signal.random_besov: {key} must be at most {top:g}"
+                             + ("" if key == "s" else " or inf"))
     return f"random-besov(s={ball.s}, pi={ball.pi})", ball, int(seed)
 
 

@@ -88,7 +88,8 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, master_seed,
 
 def _cmd_basis(args) -> int:
     started_at = datetime.now(timezone.utc)
-    basis = make_basis(args.family, args.refine_depth)
+    _flagged("--family", coarsest_level, args.family)
+    basis = _flagged("--refine-depth", make_basis, args.family, args.refine_depth)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"basis_{basis.family}.csv"

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -34,8 +36,8 @@ from .basis import (CoefficientTree, _analysis, _first_cell, _gram_row, _grid_se
                     _scaling_sums, check_refine_depth, coarsest_level, make_basis,
                     midpoint_grid)
 from .besov import ball_from_spec, make_test_function, rate_spec, signal_spec
-# generate_sample is not called here; the binding stays so that perfbench,
-# which traces it through every module that imports it, finds it.
+# generate_sample is not called here; perfbench/tests/test_perfbench.py
+# asserts that perfbench's tracing leaves this binding the original function.
 from .design import (DesignDensity, _draw_sample, _seed_state, _streams, _words,  # noqa: F401
                      density_from_spec, generate_sample)
 from .estimator import _weights, block_grid, block_statistics, threshold_tree
@@ -97,16 +99,16 @@ class ExperimentConfig:
     def validate(self) -> DesignDensity:
         """Check every field and return the design density the config describes.
 
-        Floats must be finite.  Raises ValueError naming the first malformed
-        or out-of-range field.
+        Float fields must hold finite floats.  Raises ValueError naming the
+        first malformed or out-of-range field.
         """
         for f in fields(self):
             value = getattr(self, f.name)
             kinds = _FIELD_TYPES[f.type]
             if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name}={value} must be finite")
+            if f.type.startswith("float") and not abs(value or 0.0) <= sys.float_info.max:
+                raise ValueError(f"{f.name}={reprlib.repr(value)} must be finite")
         ns = tuple(self.n_grid)
         if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in ns):
             raise ValueError(f"n_grid entries must be integers, got {list(ns)!r}")

@@ -93,6 +93,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="risk_grid=2097152"):
             parse_config(write_config(tmp_path / "c.json", risk_grid=1 << 21))
 
+    def test_ball_takes_values_past_the_float_range(self, tmp_path):
+        # the rate calculator is exact, unlike a random_besov draw
+        ball = {"s": 1000, "pi": "1e400", "r": "1e400"}
+        assert parse_config(write_config(tmp_path / "c.json", ball=ball)).ball == ball
+
     def test_n_grid_capped(self, tmp_path):
         # rejected at parse time, so no run ever draws a sample of this size
         cfg = parse_config(write_config(tmp_path / "c.json", n_grid=[256, 1 << 20]))
@@ -171,6 +176,20 @@ _MALFORMED = [
      "breaks must be numeric", "piecewise-breaks-str"),
     ({"density": {"kind": "piecewise", "breaks": [0.5], "values": ["0.6", 1.4]}},
      "values must be numeric", "piecewise-values-str"),
+    # float-typed fields past the float range, and random_besov parameters
+    # whose float computations would overflow
+    ({"d": 10**400}, "d=100000000000000000...0000000000000000000 must be finite",
+     "d-past-float-range"),
+    ({"term_c": 10**400, "compare_term": True}, "term_c=1000", "term_c-past-float-range"),
+    ({"conc_mu": 10**400}, "conc_mu=1000", "conc_mu-past-float-range"),
+    ({"signal": {"random_besov": {"s": 1000, "pi": 2, "seed": 1}}},
+     "signal.random_besov: s must be at most 64", "besov-s-overflows"),
+    ({"signal": {"random_besov": {"s": "1e400", "pi": 2, "seed": 1}}},
+     "signal.random_besov: s must be at most 64", "besov-s-past-float-range"),
+    ({"signal": {"random_besov": {"s": 2, "pi": "1e400", "seed": 1}}},
+     "signal.random_besov: pi must be at most 1.79769e+308 or inf", "besov-pi-past-float-range"),
+    ({"signal": {"random_besov": {"s": 2, "pi": 2, "r": "1e400", "seed": 1}}},
+     "signal.random_besov: r must be at most 1.79769e+308 or inf", "besov-r-past-float-range"),
 ]
 # Diagnose fields that only diagnose reads: each row breaks one of them
 # against the base n_grid, whose n = 256 admits level 2 only.
@@ -582,6 +601,17 @@ def test_fit_error_names_its_flag_and_makes_no_out_dir(tmp_path, capsys, extra, 
     _write_sample(csv)
     argv = ["fit", "--input", str(csv), *extra, "--out-dir", str(tmp_path / "out")]
     assert main([arg.replace("MISSING", str(tmp_path / "none.csv")) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra,flag", [
+    (["--family", "foo"], "--family: unknown wavelet family 'foo'; supported: db4, db6, haar"),
+    (["--refine-depth", "5"], "--refine-depth: refine_depth=5 out of range for haar: need 8..20"),
+], ids=["family-unknown", "refine-depth-too-shallow"])
+def test_basis_error_names_its_flag_and_makes_no_out_dir(tmp_path, capsys, extra, flag):
+    assert main(["basis", *extra, "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
