@@ -132,9 +132,9 @@ def _number(token: str):
         return None
 
 
-def same_within(want: str, got: str, rel: float = REL_TOL):
+def same_within(want: str, got: str):
     """None if ``got`` matches ``want`` token by token, numbers within a
-    relative ``rel`` and integers and other tokens exactly; else the first
+    relative REL_TOL and integers and other tokens exactly; else the first
     mismatch, as a message."""
     wants, gots = _SPLIT.split(want), _SPLIT.split(got)
     for i, (a, b) in enumerate(zip(wants, gots)):
@@ -142,7 +142,7 @@ def same_within(want: str, got: str, rel: float = REL_TOL):
             continue
         fa, fb = _number(a), _number(b)
         if (fa is None or fb is None or _INTEGER.fullmatch(a) or _INTEGER.fullmatch(b)
-                or not math.isclose(fa, fb, rel_tol=rel, abs_tol=0.0)):
+                or not math.isclose(fa, fb, rel_tol=REL_TOL, abs_tol=0.0)):
             line = "".join(wants[:i]).count("\n") + 1
             return f"line {line}: want {a!r}, got {b!r}"
     if len(wants) != len(gots):
@@ -162,10 +162,10 @@ def compare(case: str, outputs: dict, exact_bytes: bool) -> list:
                 for name in sorted(set(recorded) ^ set(outputs))]
     for name in sorted(set(recorded) & set(outputs)):
         want, got = recorded[name], outputs[name]
-        if exact_bytes and want != got:
-            problems.append(f"{case}/{name}: bytes differ")
-        elif (diff := same_within(want.decode(), got.decode())) is not None:
+        if (diff := same_within(want.decode(), got.decode())) is not None:
             problems.append(f"{case}/{name}: {diff}")
+        elif exact_bytes and want != got:
+            problems.append(f"{case}/{name}: bytes differ, numbers within {REL_TOL:g}")
     return problems
 
 
