@@ -265,13 +265,21 @@ class CoefficientTree:
         return tree
 
 
+def _row_buffers(basis: WaveletBasis) -> int:
+    """How many n-length float buffers ``_level_rows`` takes as ``out``."""
+    return 3 if basis.support_length == 1 else 6
+
+
 def _level_rows(basis: WaveletBasis, j: int, x: np.ndarray, out=None):
     """Yield the contributing (wrapped translate index, value) rows of the
     level-j scaling translates at x, one per m = 0 .. support_length - 1, in
     n-length buffers that each next row overwrites, so a caller may scale a
-    row in place.  ``out``, three such arrays (int64, float, float) for the
-    index, the value and the interpolation scratch, serves as the buffers
-    when given; Haar's single row needs none.
+    row in place.  ``out``, at least ``_row_buffers(basis)`` float arrays of
+    x's size, serves as the buffers when given (else they are allocated):
+    the values go in the first, the index in an int64 view of the second,
+    the third is scratch that is free once a row is yielded, and the rest
+    hold the per-point set-up.  x may be the first buffer itself: it is read
+    only before the first row is written.
 
     With t = 2^j x and k0 = floor(t), translate k0 - m is evaluated at
     t - k0 + m, which lies in [m, m + 1).  The support is [0, support_length],
@@ -284,26 +292,36 @@ def _level_rows(basis: WaveletBasis, j: int, x: np.ndarray, out=None):
     """
     amp = 2.0 ** (j / 2.0)
     wrap = (1 << j) - 1
+    if out is None:  # one (6, n) block took fit 270 more minor faults a call at n = 2^16
+        out = [np.empty(x.size) for _ in range(_row_buffers(basis))]
+    val, idx, hi, *setup = out
+    idx = idx.view(np.int64)
     if basis.family == "haar":
-        yield np.floor(np.ldexp(x, j)).astype(np.int64) & wrap, np.full(x.size, amp)
+        np.floor(np.ldexp(x, j, out=val), out=val)
+        np.copyto(idx, val, casting="unsafe")
+        idx &= wrap
+        val.fill(amp)
+        yield idx, val
         return
     depth = basis.refine_depth
-    frac = np.ldexp(x, j + depth)
-    q = np.floor(frac)
-    frac -= q
-    q = q.astype(np.int64)
+    frac, rest, cell = setup[:3]
+    cell = cell.view(np.int64)
+    np.ldexp(x, j + depth, out=frac)
+    np.floor(frac, out=rest)
+    frac -= rest
+    np.copyto(idx, rest, casting="unsafe")
     # Row m reads the table from cell m * 2^depth on, at cells i and i + 1;
     # every such cell exists, so "clip" only spares take its bounds check.
-    i = q & ((1 << depth) - 1)
-    q >>= depth
-    rest = 1.0 - frac
-    idx, val, hi = out or (np.empty_like(q), np.empty(x.size), np.empty(x.size))
+    np.bitwise_and(idx, (1 << depth) - 1, out=cell)
+    idx >>= depth
+    np.subtract(1.0, frac, out=rest)
     for m in range(basis.support_length):
-        np.subtract(q, m, out=idx)
+        if m:  # translate k0 - m, from k0 - m + 1 (mod 2^j)
+            idx -= 1
         idx &= wrap
-        basis.phi_table[m << depth:].take(i, out=val, mode="clip")
+        basis.phi_table[m << depth:].take(cell, out=val, mode="clip")
         val *= rest
-        basis.phi_table[(m << depth) + 1:].take(i, out=hi, mode="clip")
+        basis.phi_table[(m << depth) + 1:].take(cell, out=hi, mode="clip")
         hi *= frac
         val += hi
         val *= amp
@@ -382,18 +400,22 @@ def _lift(basis: WaveletBasis, tree: CoefficientTree):
     return tree.j0 + len(tree.beta), alpha
 
 
-def evaluate_tree(basis: WaveletBasis, tree: CoefficientTree, x) -> np.ndarray:
+def evaluate_tree(basis: WaveletBasis, tree: CoefficientTree, x, out=None) -> np.ndarray:
     """Evaluate the finite wavelet series of ``tree`` at arbitrary points, of
     any shape (a scalar for a scalar): lift it to its top level, then
     evaluate that level's scaling translates, gathering each row's
-    coefficients into one reused buffer."""
-    x = np.mod(np.asarray(x, dtype=float), 1.0)
+    coefficients into the rows' scratch buffer.  ``out``, at least 1 +
+    ``_row_buffers(basis)`` float arrays of x's size, holds the values and
+    then the rows' buffers when given."""
+    x = np.asarray(x, dtype=float)
     top, alpha = _lift(basis, tree)
-    out, coef = np.zeros(x.size), np.empty(x.size)
-    for idx, val in _level_rows(basis, top, x.ravel()):
-        val *= alpha.take(idx, out=coef, mode="clip")
-        out += val
-    return out.reshape(x.shape)[()]
+    values, *rows = np.empty((1 + _row_buffers(basis), x.size)) if out is None else out
+    np.mod(x.ravel(), 1.0, out=rows[0])
+    values.fill(0.0)
+    for idx, val in _level_rows(basis, top, rows[0], rows):
+        val *= alpha.take(idx, out=rows[2], mode="clip")
+        values += val
+    return values.reshape(x.shape)[()]
 
 
 def synthesize(basis: WaveletBasis, tree: CoefficientTree, grid_size: int) -> np.ndarray:

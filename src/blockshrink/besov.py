@@ -18,7 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import CoefficientTree, WaveletBasis, evaluate_tree, exact_coefficients, midpoint_grid
+from .basis import (CoefficientTree, WaveletBasis, _row_buffers, evaluate_tree,
+                    exact_coefficients, midpoint_grid)
 
 INF = math.inf
 
@@ -165,13 +166,28 @@ def besov_seminorm(tree: CoefficientTree, s: float, pi: float, r: float) -> floa
 # Test functions
 
 
-def _heavisine(x):
-    return 4.0 * np.sin(4.0 * np.pi * x) - np.sign(x - 0.3) - np.sign(0.72 - x)
+# Each signal writes its values into out[0] and may use out[1] and out[2] as
+# scratch, with the operations, in their order, of its formula.  A
+# transcendental ufunc never writes over its own input, so that numpy's
+# choice of loop cannot change a bit, and a sign goes into a second buffer:
+# in place, np.sign runs several times slower.
+def _heavisine(x, out):
+    values, arg, sign = out
+    np.sin(np.multiply(x, 4.0 * np.pi, out=arg), out=values)
+    values *= 4.0
+    values -= np.sign(np.subtract(x, 0.3, out=arg), out=sign)
+    values -= np.sign(np.subtract(0.72, x, out=arg), out=sign)
+    return values
 
 
-def _doppler(x):
+def _doppler(x, out):
     eps = 0.05
-    return np.sqrt(x * (1.0 - x)) * np.sin(2.0 * np.pi * (1.0 + eps) / (x + eps))
+    values, root, arg = out
+    np.sqrt(np.multiply(x, np.subtract(1.0, x, out=root), out=root), out=root)
+    np.divide(2.0 * np.pi * (1.0 + eps), np.add(x, eps, out=arg), out=arg)
+    np.sin(arg, out=values)
+    values *= root
+    return values
 
 
 _BLOCKS_T = np.array([0.1, 0.13, 0.15, 0.23, 0.25, 0.4, 0.44, 0.65, 0.76, 0.78, 0.81])
@@ -180,32 +196,56 @@ _BUMPS_W = np.array([0.005, 0.005, 0.006, 0.01, 0.01, 0.03, 0.01, 0.01, 0.005, 0
 _BUMPS_H = np.array([4, 5, 3, 4, 5, 4.2, 2.1, 4.3, 3.1, 5.1, 4.2])
 
 
-def _blocks(x):
-    out = np.zeros_like(x)
+def _blocks(x, out):
+    values, arg, term = out
+    values.fill(0.0)
     for t, h in zip(_BLOCKS_T, _BLOCKS_H):
-        out += h * (1.0 + np.sign(x - t)) / 2.0
-    return out
+        np.sign(np.subtract(x, t, out=arg), out=term)
+        term += 1.0
+        term *= h
+        term /= 2.0
+        values += term
+    return values
 
 
-def _bumps(x):
-    out = np.zeros_like(x)
+def _bumps(x, out):
+    values, arg, term = out
+    values.fill(0.0)
     for t, h, w in zip(_BLOCKS_T, _BUMPS_H, _BUMPS_W):
-        out += h * (1.0 + np.abs((x - t) / w)) ** -4.0
-    return out
+        np.subtract(x, t, out=arg)
+        arg /= w
+        np.abs(arg, out=arg)
+        arg += 1.0
+        np.power(arg, -4.0, out=term)
+        term *= h
+        values += term
+    return values
 
 
-def _single_bump(x):
+def _single_bump(x, out):
     # Amplitude 3 makes one detail block dominant against the default
     # keep-or-kill cut at n ~ 4k while everything far from 0.4 stays noise.
-    return 3.0 * np.exp(-((x - 0.4) ** 2) / (2.0 * 0.05**2))
+    values, arg, square = out
+    np.square(np.subtract(x, 0.4, out=arg), out=square)
+    np.negative(square, out=square)
+    square /= 2.0 * 0.05**2
+    np.exp(square, out=values)
+    values *= 3.0
+    return values
+
+
+def _constant(x, out):
+    out[0].fill(1.0)
+    return out[0]
+
+
+def _zero(x, out):
+    out[0].fill(0.0)
+    return out[0]
 
 
 _NORMALIZED = {"heavisine": _heavisine, "doppler": _doppler, "blocks": _blocks, "bumps": _bumps}
-_RAW = {
-    "constant": lambda x: np.ones_like(x),
-    "zero": lambda x: np.zeros_like(x),
-    "single-bump": _single_bump,
-}
+_RAW = {"constant": _constant, "zero": _zero, "single-bump": _single_bump}
 
 SIGNAL_NAMES = tuple(sorted((*_NORMALIZED, *_RAW)))
 
@@ -213,12 +253,18 @@ SIGNAL_NAMES = tuple(sorted((*_NORMALIZED, *_RAW)))
 @dataclass(eq=False)
 class TestFunction:
     """A target function with its coefficient tree and, for a
-    ``random_besov`` signal, its Besov ball radius."""
+    ``random_besov`` signal, its Besov ball radius.
+
+    ``fn(x, out=None)`` evaluates the function at x.  ``out``, at least
+    ``buffers`` float arrays of x's size, serves as its buffers when given,
+    and the values come back in the first.
+    """
 
     name: str
     fn: object
     tree: CoefficientTree
     ball_radius: float = None
+    buffers: int = 3
 
 
 def signal_spec(spec, j0: int, jmax: int) -> tuple:
@@ -256,7 +302,7 @@ def signal_spec(spec, j0: int, jmax: int) -> tuple:
         if getattr(ball, key) != INF and getattr(ball, key) > top:
             raise ValueError(f"signal.random_besov: {key} must be at most {top:g}"
                              + ("" if key == "s" else " or inf"))
-    return f"random-besov(s={ball.s}, pi={ball.pi})", ball, int(seed)
+    return f"random-besov(s={params['s']}, pi={params['pi']})", ball, int(seed)
 
 
 def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunction:
@@ -286,20 +332,33 @@ def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunctio
         # the draw at u = 1, whose seminorm bounds every draw's
         bound = CoefficientTree(j0=j0, jmax=jmax, alpha=mags[0], beta=mags[1:])
 
-        def fn(x, _basis=basis, _tree=tree):
-            return evaluate_tree(_basis, _tree, x)
+        def fn(x, out=None, _basis=basis, _tree=tree):
+            return evaluate_tree(_basis, _tree, x, out)
 
         return TestFunction(name=name, fn=fn, tree=tree,
-                            ball_radius=besov_seminorm(bound, ball.s, ball.pi, ball.r))
+                            ball_radius=besov_seminorm(bound, ball.s, ball.pi, ball.r),
+                            buffers=1 + _row_buffers(basis))
 
-    if name in _NORMALIZED:
-        raw = _NORMALIZED[name]
-        peak = float(np.max(np.abs(raw(midpoint_grid(1 << 16)))))
+    raw = _NORMALIZED.get(name) or _RAW[name]
+    peak = _sup_norm(raw) if name in _NORMALIZED else 1.0
 
-        def fn(x, _raw=raw, _peak=peak):
-            return _raw(np.asarray(x, dtype=float)) / _peak
+    def fn(x, out=None, _raw=raw, _peak=peak):
+        x = np.asarray(x, dtype=float)
+        values = _raw(x.ravel(), np.empty((3, x.size)) if out is None else out[:3])
+        values /= _peak
+        return values.reshape(x.shape)[()]
 
-    else:
-        fn = _RAW[name]
     tree = exact_coefficients(basis, fn(midpoint_grid(1 << max(14, jmax + 6))), j0, jmax)
     return TestFunction(name=name, fn=fn, tree=tree)
+
+
+def _sup_norm(raw, size: int = 1 << 16, block: int = 1 << 12) -> float:
+    """max |raw| over the ``size`` midpoints, evaluated ``block`` points at a
+    time: a max is exact, so the blocks give the whole grid's value, and
+    set-up holds no grid-sized temporaries."""
+    out = np.empty((3, block))
+    peak = 0.0
+    for start in range(0, size, block):
+        values = raw((np.arange(start, start + block) + 0.5) / size, out)
+        peak = max(peak, float(np.max(np.abs(values, out=values))))
+    return peak

@@ -50,36 +50,55 @@ class DesignDensity:
             return 1.0 - 0.5 * self.slope + self.slope * x
         return np.asarray(self.values)[_segment(self.breaks, x)]
 
-    def draw(self, u):
-        """The design points x, the inverse CDF at u (mapping [0, 1) into
-        [0, 1]), and the density g at them, read off the inverse-CDF segment
-        each u falls in, so no point is searched twice.  x is capped at 1:
-        rounding, or piecewise masses that sum to 1 - 1e-9, would carry the
-        top of [0, 1) past it."""
+    def draw(self, u, out=None):
+        """The design points x, the inverse CDF at the 1-D u (mapping [0, 1)
+        into [0, 1]), and the density g at them, read off the inverse-CDF
+        segment each u falls in, so no point is searched twice.  x is capped
+        at 1: rounding, or piecewise masses that sum to 1 - 1e-9, would carry
+        the top of [0, 1) past it.  ``out``, four float arrays of u's size,
+        receives x and g in its first two and takes the others as scratch
+        when given; the first may be u itself, which the draw then spends.
+        A uniform x is u itself."""
         u = np.asarray(u, dtype=float)
+        x, g, tmp, seg = np.empty((4, u.size)) if out is None else out
         if self.kind == "uniform":
-            return u, np.ones_like(u)
+            g.fill(1.0)
+            return u, g
         if self.kind == "linear-tilt":
             # the root of a x^2 / 2 + b x = u as 2u / (b + sqrt(b^2 + 2au)),
             # which, unlike (sqrt(b^2 + 2au) - b) / a, does not cancel as a -> 0
             a = self.slope
             b = 1.0 - 0.5 * a
-            x = np.minimum(2.0 * u / (b + np.sqrt(b * b + 2.0 * a * u)), 1.0)
-            return x, b + a * x
+            np.multiply(u, 2.0, out=g)
+            np.multiply(u, 2.0 * a, out=x)
+            x += b * b
+            np.sqrt(x, out=x)
+            x += b
+            g /= x
+            np.minimum(g, 1.0, out=x)
+            np.multiply(x, a, out=g)
+            g += b
+            return x, g
         cuts, lefts, prevs, vals = self._segments
-        seg = _segment(cuts, u)
-        g = vals[seg]
-        return np.minimum(lefts[seg] + (u - prevs[seg]) / g, 1.0), g
+        seg = _segment(cuts, u, (seg.view(np.int64), tmp.view(np.int64)))
+        vals.take(seg, out=g, mode="clip")
+        np.subtract(u, prevs.take(seg, out=tmp, mode="clip"), out=tmp)
+        tmp /= g
+        lefts.take(seg, out=x, mode="clip")
+        x += tmp
+        return np.minimum(x, 1.0, out=x), g
 
 
-def _segment(edges, u) -> np.ndarray:
+def _segment(edges, u, out=None) -> np.ndarray:
     """The segment of each u between sorted ``edges``: the number of edges at
     or below it, which is ``searchsorted(edges, u, side="right")`` for every
     u but NaN (a NaN reaches no edge).  A design has a few edges, so one
-    comparison per edge beats a binary search per point."""
-    seg = np.zeros(np.shape(u), dtype=np.intp)
+    comparison per edge beats a binary search per point.  ``out``, two int64
+    arrays of u's shape, holds the segments and the comparisons when given."""
+    seg, hit = out or (np.empty(np.shape(u), np.int64), np.empty(np.shape(u), np.int64))
+    seg.fill(0)
     for edge in edges:
-        seg += u >= edge
+        seg += np.greater_equal(u, edge, out=hit)
     return seg
 
 
@@ -206,17 +225,22 @@ def generate_sample(
     if n < 1:
         raise ValueError("n must be at least 1")
     (rngs,) = _streams(_words(seed))
-    return _draw_sample(f, density, n, rngs, noiseless)
+    return _draw_sample(lambda x, out: f(x), density, n, rngs, noiseless, np.empty((4, n)))
 
 
-def _draw_sample(f, density: DesignDensity, n: int, rngs, noiseless: bool) -> Sample:
+def _draw_sample(f, density: DesignDensity, n: int, rngs, noiseless: bool, out) -> Sample:
     """The sample of ``generate_sample`` from its (design, noise) generators
-    ``rngs``: n uniforms, the design points and g at them, f, then the noise."""
+    ``rngs``: n uniforms, the design points and g at them, f, then the noise.
+
+    ``out`` holds at least four n-length float buffers.  The uniforms, then
+    x, go in the first and g in the second; the draw takes the first four,
+    f(x, out[2:]) all from the third on, and the noise, then y, goes in the
+    fourth."""
     design_rng, noise_rng = rngs
-    x, g = density.draw(design_rng.random(n))
-    fx = np.asarray(f(x), dtype=float)
-    y = fx if noiseless else fx + noise_rng.standard_normal(n)
-    return Sample(n=n, x=x, y=np.asarray(y, dtype=float), g=g)
+    x, g = density.draw(design_rng.random(out=out[0]), out[:4])
+    fx = np.asarray(f(x, out[2:]), dtype=float)
+    y = fx if noiseless else np.add(fx, noise_rng.standard_normal(out=out[3]), out=out[3])
+    return Sample(n=n, x=x, y=y, g=g)
 
 
 def _words(value) -> list:

@@ -91,12 +91,13 @@ def block_statistics(coeffs, edges, p: float) -> np.ndarray:
     return (np.add.reduceat(np.abs(coeffs) ** p, starts, axis=-1) / sizes) ** (1.0 / p)
 
 
-def _weights(sample: Sample, g, density: DesignDensity) -> np.ndarray:
+def _weights(sample: Sample, g, density: DesignDensity, out=None) -> np.ndarray:
     """y_i / (n g(x_i)), once g has passed the density's certified bounds
-    (a NaN fails them)."""
+    (a NaN fails them), written into ``out`` when given."""
     if g.size and not (g.min() >= density.g_min - 1e-12 and g.max() <= density.g_max + 1e-12):
         raise RuntimeError("density evaluation escaped its certified bounds")
-    return sample.y / (g * sample.n)
+    scaled = np.multiply(g, sample.n, out=out)
+    return np.divide(sample.y, scaled, out=scaled)
 
 
 def empirical_coefficients(

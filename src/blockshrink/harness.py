@@ -33,8 +33,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .basis import (CoefficientTree, _analysis, _first_cell, _gram_row, _grid_series, _lift,
-                    _scaling_sums, check_refine_depth, coarsest_level, make_basis,
-                    midpoint_grid)
+                    _row_buffers, _scaling_sums, check_refine_depth, coarsest_level,
+                    make_basis, midpoint_grid)
 from .besov import ball_from_spec, make_test_function, rate_spec, signal_spec
 # generate_sample is not called here; perfbench/tests/test_perfbench.py
 # asserts that perfbench's tracing leaves this binding the original function.
@@ -45,8 +45,9 @@ from .estimator import _weights, block_grid, block_statistics, threshold_tree
 _Z95 = 1.959963984540054
 # Largest risk grid: 2^20 midpoints (8 MiB of doubles per evaluated function).
 _MAX_RISK_GRID = 1 << 20
-# Largest sample size: one db4 or db6 replication at 2^20 peaks at 72 MiB of
-# tracemalloc-traced allocations, Haar at 41 MiB.
+# Largest sample size: one db4 or db6 replication at 2^20 peaks at 56 MiB of
+# tracemalloc-traced allocations on a named signal and 72 MiB on a
+# random_besov one, Haar at 40 and 48 MiB.
 _MAX_SAMPLE = 1 << 20
 # Most replications: the (R, 2^(j_high + 1)) stack is 0.25 GiB at n = 2^20.
 _MAX_REPLICATIONS = 1 << 16
@@ -270,22 +271,26 @@ def _replicate(config: ExperimentConfig, basis, grid, density, signal) -> Coeffi
     seed drew the points.  The seed fixes that order, so no sort is needed
     for results to replay exactly.  The analysis steps then run once on the
     stack of sums, in replication order, and each row comes out as the
-    replication's tree alone would.  Each db4 or db6 replication writes its
-    scaling terms, one translate row at a time, into three n-length arrays
-    allocated once per n: allocated per replication, they made glibc trim
-    and regrow the heap in every replication of a one-shot run (Haar's
-    single row needs none).
+    replication's tree alone would.
+
+    Every n-length array of a replication lives in one workspace of
+    n-length buffers, allocated once per n and shared by the stages: the
+    uniforms, then x, in buffer 0; g in buffer 1; the signal from buffer 2
+    on; the noise, then y, in buffer 3; the weights in buffer 4; and the
+    translate rows in every buffer but the weights', from x's on.  Allocated
+    per replication, these arrays made glibc trim and regrow its heap in
+    every replication once n passed 2^14.
     """
     reps = np.arange(config.replications, dtype=np.uint32)
     seeds = _replication_words(config.master_seed, grid.n, [reps])
-    n = grid.n
-    rows = (np.empty(n, np.int64), np.empty(n), np.empty(n)) if basis.support_length > 1 else None
+    rows = _row_buffers(basis)
+    work = list(np.empty((max(2 + signal.buffers, 1 + rows), grid.n)))
+    row_work = [*work[:4], *work[5:]][:rows]
 
     def one(rngs):
-        sample = _draw_sample(signal.fn, density, grid.n, rngs, config.noiseless)
-        x, w = sample.x, _weights(sample, sample.g, density)
-        del sample  # y and g are spent: free them before the sums' temporaries
-        return _scaling_sums(basis, grid.j_high + 1, x, w, rows)
+        sample = _draw_sample(signal.fn, density, grid.n, rngs, config.noiseless, work)
+        x, w = sample.x, _weights(sample, sample.g, density, work[4])
+        return _scaling_sums(basis, grid.j_high + 1, x, w, row_work)
 
     sums = [one(rngs) for rngs in _streams(seeds)]
     return _analysis(basis, grid.j_low, grid.j_high, np.stack(sums))

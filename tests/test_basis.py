@@ -17,7 +17,7 @@ from blockshrink import (
 )
 from blockshrink import basis as basis_module
 from blockshrink.basis import (_analysis, _first_cell, _forward_step, _gram_row, _grid_series,
-                               _inverse_step, _level_rows, _lift, _scaling_sums,
+                               _inverse_step, _level_rows, _lift, _row_buffers, _scaling_sums,
                                _validate_basis)
 from oracles import (direct_coefficients, direct_evaluate, direct_level_terms, direct_sums,
                      outer_series, periodized, stacked_concentration, stacked_evaluate,
@@ -177,14 +177,26 @@ class TestLevelTerms:
         translate row is, bit for bit, the row written into fresh buffers."""
         basis = request.getfixturevalue(family)
         x = np.random.default_rng(5).random(1000)
-        out = (np.full(x.size, -1), np.full(x.size, np.nan), np.full(x.size, np.nan))
+        out = list(np.full((_row_buffers(basis), x.size), np.nan))
         rows = zip(_level_rows(basis, 6, x), _level_rows(basis, 6, x, out))
         for m, ((idx, val), (got_idx, got_val)) in enumerate(rows):
-            if basis.support_length > 1:
-                assert got_idx is out[0] and got_val is out[1]
+            assert got_val is out[0] and np.shares_memory(got_idx, out[1])
             np.testing.assert_array_equal(got_idx, idx)
             np.testing.assert_array_equal(got_val, val)
         assert m == basis.support_length - 1
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    def test_x_may_be_the_first_buffer(self, request, family):
+        """x read from the values' own buffer, as ``_replicate`` passes it,
+        gives the rows of a separate x bit for bit."""
+        basis = request.getfixturevalue(family)
+        x = np.random.default_rng(6).random(1000)
+        out = list(np.empty((_row_buffers(basis), x.size)))
+        out[0][:] = x
+        rows = zip(_level_rows(basis, 6, x), _level_rows(basis, 6, out[0], out))
+        for (idx, val), (got_idx, got_val) in rows:
+            np.testing.assert_array_equal(got_idx, idx)
+            np.testing.assert_array_equal(got_val, val)
 
     @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
     def test_equals_the_direct_terms_exactly(self, request, family):

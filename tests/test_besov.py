@@ -249,3 +249,80 @@ class TestMakeTestFunction:
         from oracles import direct_evaluate
 
         assert np.allclose(tf.fn(x), direct_evaluate(haar, tf.tree, x))
+
+
+# The named signals as expressions that allocate every temporary: the
+# package computes each in place, in the same operations and order.
+_FORMULAS = {
+    "heavisine": lambda x: 4.0 * np.sin(4.0 * np.pi * x) - np.sign(x - 0.3) - np.sign(0.72 - x),
+    "doppler": lambda x: np.sqrt(x * (1.0 - x)) * np.sin(2.0 * np.pi * (1.0 + 0.05) / (x + 0.05)),
+    "blocks": lambda x: sum((h * (1.0 + np.sign(x - t)) / 2.0
+                             for t, h in zip(besov._BLOCKS_T, besov._BLOCKS_H)),
+                            np.zeros_like(x)),
+    "bumps": lambda x: sum((h * (1.0 + np.abs((x - t) / w)) ** -4.0
+                            for t, h, w in zip(besov._BLOCKS_T, besov._BUMPS_H, besov._BUMPS_W)),
+                           np.zeros_like(x)),
+    "single-bump": lambda x: 3.0 * np.exp(-((x - 0.4) ** 2) / (2.0 * 0.05**2)),
+    "constant": np.ones_like,
+    "zero": np.zeros_like,
+}
+
+
+class TestNamedSignals:
+    @pytest.mark.parametrize("name", sorted(_FORMULAS))
+    def test_in_place_signal_equals_its_formula(self, name):
+        """Written into given buffers, each raw signal is, bit for bit, its
+        formula; at sample points, midpoints, the edges and the jumps."""
+        raw = besov._NORMALIZED.get(name) or besov._RAW[name]
+        x = np.concatenate([np.random.default_rng(8).random(5000), midpoint_grid(4096),
+                            [0.0, 0.3, 0.72, 1.0], besov._BLOCKS_T])
+        got = raw(x, np.full((3, x.size), np.nan))
+        assert np.array_equal(got, _FORMULAS[name](x))
+
+    @pytest.mark.parametrize("name", ["heavisine", "doppler", "blocks", "bumps"])
+    def test_blockwise_peak_is_the_whole_grid_peak(self, name):
+        """The normalization constant that every output of a named signal
+        depends on: the peak taken in blocks equals the peak of the whole
+        2^16-point grid exactly."""
+        raw = besov._NORMALIZED[name]
+        x = midpoint_grid(2**16)
+        assert besov._sup_norm(raw) == np.max(np.abs(raw(x, np.empty((3, x.size)))))
+        assert besov._sup_norm(raw) == np.max(np.abs(_FORMULAS[name](x)))
+
+    @pytest.mark.parametrize("family", ["haar", "db4"])
+    @pytest.mark.parametrize(
+        "spec", [*sorted(_FORMULAS), {"random_besov": {"s": 2, "pi": 2, "seed": 1}}],
+        ids=[*sorted(_FORMULAS), "random_besov"])
+    def test_fn_writes_into_its_buffers(self, request, family, spec):
+        """fn(x, out) returns the values in out[0], equal to fn(x)."""
+        tf = make_test_function(spec, request.getfixturevalue(family), jmax=8)
+        x = np.random.default_rng(9).random(1000)
+        out = list(np.empty((tf.buffers + 1, x.size)))
+        got = tf.fn(x, out)
+        assert np.shares_memory(got, out[0]) and np.array_equal(got, tf.fn(x))
+
+
+    @pytest.mark.parametrize("name", sorted(_FORMULAS))
+    def test_fn_keeps_the_shape_of_x(self, haar, name):
+        """A scalar for a scalar, and x's shape for an array."""
+        fn = make_test_function(name, haar, jmax=8).fn
+        x = np.random.default_rng(10).random((3, 4))
+        assert isinstance(fn(0.5), float) and fn(0.5) == fn(np.array([0.5]))[0]
+        assert np.array_equal(fn(x), fn(x.ravel()).reshape(3, 4))
+
+
+class TestSignalNames:
+    @pytest.mark.parametrize(
+        "params,name",
+        [
+            ({"s": 2, "pi": 2}, "random-besov(s=2, pi=2)"),
+            ({"s": 2.1, "pi": 1.3}, "random-besov(s=2.1, pi=1.3)"),
+            ({"s": "5/2", "pi": "inf"}, "random-besov(s=5/2, pi=inf)"),
+            ({"s": 1.5, "pi": 1e300, "r": 2}, "random-besov(s=1.5, pi=1e+300)"),
+        ],
+    )
+    def test_random_besov_is_named_by_its_values_as_written(self, params, name):
+        """Not by the exact Fractions the rate calculator reads: 2.1 would
+        print as 4728779608739021/2251799813685248, and 1e300 as a 301-digit
+        integer."""
+        assert besov.signal_spec({"random_besov": {**params, "seed": 1}}, 0, 8)[0] == name

@@ -1,5 +1,6 @@
 """Risk computation, rate fitting, and the Monte Carlo diagnostics."""
 
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -537,31 +538,43 @@ class TestReplicate:
         assert self._peak(family) <= 10 * 8 * self.N
 
     def test_terms_arrays_are_reused_across_replications(self, monkeypatch):
-        """A multi-tap family's translate rows go into three n-length arrays
-        for all replications of an n: allocated per replication, they made a
-        one-shot ``diagnose`` trim and regrow the heap every replication
-        (45k minor faults against 13k).  Haar's single row needs none."""
-        seen = []
-        sums = harness._scaling_sums
+        """Every n-length buffer of a replication (the draw's, the signal's,
+        the weights' and the translate rows') is the same array in every
+        replication of an n, for Haar as for a multi-tap family: allocated
+        per replication, they made glibc trim and regrow the heap in every
+        replication at n >= 2^15 (141k minor faults on three n up to 2^17
+        against none), and a one-shot ``diagnose`` likewise (45k against
+        13k)."""
+        seen = {}
 
-        def spy(basis, j, x, w, out=None):
-            seen.append(out)
-            return sums(basis, j, x, w, out)
+        def spy(name, original, slot):
+            def record(*args, **kwargs):
+                seen.setdefault(name, []).append(args[slot] if len(args) > slot else kwargs["out"])
+                return original(*args, **kwargs)
+            return record
 
-        monkeypatch.setattr(harness, "_scaling_sums", spy)
+        monkeypatch.setattr(harness, "_draw_sample", spy("sample", harness._draw_sample, 5))
+        monkeypatch.setattr(DesignDensity, "draw", spy("draw", DesignDensity.draw, 2))
+        monkeypatch.setattr(harness, "_weights", spy("weights", harness._weights, 3))
+        monkeypatch.setattr(harness, "_scaling_sums", spy("rows", harness._scaling_sums, 4))
         n = 1 << 12
-        for family, kept in (("db6", True), ("haar", False)):
+        besov = {"random_besov": {"s": 2, "pi": 2, "seed": 1}}
+        for family, signal in itertools.product(("db6", "haar"), ("heavisine", besov)):
             seen.clear()
-            config = ExperimentConfig(basis_family=family, n_grid=(n,), replications=50)
-            basis, density, signal = harness._materialize(config)
+            config = ExperimentConfig(basis_family=family, signal=signal, n_grid=(n,),
+                                      density=_ENGINE_DENSITIES["piecewise"], replications=50)
+            basis, density, sig = harness._materialize(config)
+            sig.fn = spy("signal", sig.fn, 1)
             grid = block_grid(n, config.p, basis.coarsest_level)
-            harness._replicate(replace(config, replications=3), basis, grid, density, signal)
-            assert len(seen) == 3
-            if kept:
-                assert all(out is seen[0] for out in seen)
-                assert [a.shape for a in seen[0]] == [(n,)] * 3
-            else:
-                assert seen == [None] * 3
+            harness._replicate(replace(config, replications=3), basis, grid, density, sig)
+            assert sorted(seen) == ["draw", "rows", "sample", "signal", "weights"]
+            for name, outs in seen.items():
+                first = [outs[0]] if name == "weights" else list(outs[0])
+                assert len(outs) == 3 and all(a.shape == (n,) for a in first), name
+                for out in outs[1:]:
+                    got = [out] if name == "weights" else list(out)
+                    assert len(got) == len(first), name
+                    assert all(a is b for a, b in zip(got, first)), name
 
 
 class TestSeeding:
@@ -635,9 +648,9 @@ class TestReplicationChecks:
         bad_state = numpy_streams(bad_seed)[0].bit_generator.state
         draw, hits = harness._draw_sample, []
 
-        def one_nan(f, density, n, rngs, noiseless):
+        def one_nan(f, density, n, rngs, noiseless, out):
             hits.append(rngs[0].bit_generator.state == bad_state)
-            sample = draw(f, density, n, rngs, noiseless)
+            sample = draw(f, density, n, rngs, noiseless, out)
             if hits[-1]:
                 sample.y[7] = np.nan
             return sample
@@ -652,8 +665,8 @@ class TestReplicationChecks:
         config, basis, grid, dens, signal = _engine(density)
         draw = DesignDensity.draw
 
-        def broken(self, u):
-            x, g = draw(self, u)
+        def broken(self, u, out=None):
+            x, g = draw(self, u, out)
             return x, np.full_like(g, self.g_min * 0.99 if side == "low" else self.g_max * 1.01)
 
         monkeypatch.setattr(DesignDensity, "draw", broken)
