@@ -2,10 +2,12 @@
 """Golden-output corpus: the outputs of small runs of every command.
 
 Each case runs one command in process (``rates`` for every family, design
-and p in {2, 3}, ``diagnose`` and ``fit --grid 1024`` for every family, and
-``basis`` at every family's depth floor) and keeps what it wrote: the output
-files, the manifest's subcommand, config and seed, and stdout with its exit
-code.  A change meant to keep every output is checked against the corpus.
+and p in {2, 3}, for every named signal, with ``--seed``, and for a ball in
+the sparse and in the critical zone; ``diagnose`` and ``fit --grid 1024``
+for every family, and ``fit`` on a sample with tied x; and ``basis`` at
+every family's depth floor) and keeps what it wrote: the output files, the
+manifest's subcommand, config and seed, and stdout with its exit code.  A
+change meant to keep every output is checked against the corpus.
 
     python scripts/golden.py --write   # record the corpus in tests/golden/
     python scripts/golden.py --check   # rerun every case; exit 1 on a difference
@@ -66,6 +68,13 @@ def _cases() -> dict:
     cases["rates-db4-besov"] = ("rates", _config(
         "db4", signal={"random_besov": {"s": 2, "pi": 2, "seed": 1}},
         ball={"s": 2, "pi": 2}), [])
+    for signal in ("blocks", "bumps", "constant", "doppler", "single-bump", "zero"):
+        cases[f"rates-haar-{signal}"] = ("rates", _config("haar", signal=signal), [])
+    cases["rates-haar-seed"] = ("rates", _config("haar"), ["--seed", "7"])
+    # p = 5 admits both zones at pi = 1 (every n clamps its coarse level)
+    cases["rates-haar-sparse"] = ("rates", _config("haar", p=5, ball={"s": "7/4", "pi": 1}), [])
+    cases["rates-haar-critical"] = ("rates", _config("haar", p=5, ball={"s": 2, "pi": 1, "r": 2}),
+                                    [])
     for family, density in zip(_FAMILIES, _DESIGNS.values()):
         cases[f"diagnose-{family}"] = ("diagnose", _config(family, density=density), [])
     for family, depth in _FAMILIES.items():
@@ -73,6 +82,7 @@ def _cases() -> dict:
                                                 _FIT_DENSITY[family], "--grid", "1024"])
         cases[f"basis-{family}"] = ("basis", None, ["--family", family,
                                                     "--refine-depth", str(depth)])
+    cases["fit-db4-tied"] = ("fit", None, ["--basis", "db4", "--grid", "1024"])
     return cases
 
 
@@ -85,8 +95,24 @@ def _write_sample(path: Path) -> None:
     rng = np.random.default_rng(26)
     x = rng.random(4096)
     y = np.sin(2 * np.pi / (x + 0.05)) + 0.5 * rng.standard_normal(x.size)
+    _save_sample(path, x, y)
+
+
+def _write_tied_sample(path: Path) -> None:
+    """A seeded sample of 4096 rows whose x, rounded to two decimals, ties
+    everywhere, drawn by numpy alone, so that ``fit`` sorts by x and y."""
+    rng = np.random.default_rng(27)
+    x = np.round(rng.random(4096), 2)
+    _save_sample(path, x, np.sin(6 * x) + rng.standard_normal(x.size))
+
+
+def _save_sample(path: Path, x, y) -> None:
     np.savetxt(path, np.column_stack((x, y)), fmt="%.17g", delimiter=",", header="x,y",
                comments="")
+
+
+# {fit case: (sample file, its writer)}; every other fit case reads sample.csv
+_SAMPLES = {"fit-db4-tied": ("tied.csv", _write_tied_sample)}
 
 
 def run(case: str, workdir: Path) -> dict:
@@ -102,9 +128,10 @@ def run(case: str, workdir: Path) -> dict:
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
     if command == "fit":
-        sample = workdir / "sample.csv"
+        name, writer = _SAMPLES.get(case, ("sample.csv", _write_sample))
+        sample = workdir / name
         if not sample.exists():
-            _write_sample(sample)
+            writer(sample)
         argv += ["--input", str(sample)]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
