@@ -21,7 +21,6 @@ from .besov import (
     BesovBall,
     RateSpec,
     TestFunction,
-    besov_seminorm,
     make_test_function,
     rate_spec,
 )

@@ -1,4 +1,4 @@
-"""Besov sequence seminorms, risk-rate zones, and test-function generation.
+"""Besov balls, risk-rate zones, and test-function generation.
 
 The rate calculator works in exact rational arithmetic so the measure-zero
 critical zone (epsilon exactly 0) is never decided by float comparison.
@@ -136,32 +136,6 @@ def rate_spec(s, pi, r, p) -> RateSpec:
     )
 
 
-def besov_seminorm(tree: CoefficientTree, s: float, pi: float, r: float) -> float:
-    """Truncated Besov sequence norm of a coefficient tree.
-
-    Levels are weighted by 2^{j(s + 1/2 - 1/pi)}; the scaling block enters as
-    the level below j0.  Infinite pi/r take max over translates / sup over
-    levels.  The value is the norm of the finite tree; tails beyond jmax are
-    not extrapolated.
-    """
-    s = float(s)
-    inv_pi = 0.0 if pi == INF else 1.0 / float(pi)
-    levels = [(tree.j0 - 1, tree.alpha)]
-    levels += [(tree.j0 + i, b) for i, b in enumerate(tree.beta)]
-    terms = []
-    for j, coeffs in levels:
-        a = np.abs(np.asarray(coeffs, dtype=float))
-        if pi == INF:
-            level_norm = a.max() if a.size else 0.0
-        else:
-            level_norm = float(np.sum(a ** float(pi)) ** inv_pi)
-        terms.append(2.0 ** (j * (s + 0.5 - inv_pi)) * level_norm)
-    terms = np.asarray(terms)
-    if r == INF:
-        return float(terms.max())
-    return float(np.sum(terms ** float(r)) ** (1.0 / float(r)))
-
-
 # ---------------------------------------------------------------------------
 # Test functions
 
@@ -252,8 +226,7 @@ SIGNAL_NAMES = tuple(sorted((*_NORMALIZED, *_RAW)))
 
 @dataclass(eq=False)
 class TestFunction:
-    """A target function with its coefficient tree and, for a
-    ``random_besov`` signal, its Besov ball radius.
+    """A target function with its coefficient tree.
 
     ``fn(x, out=None)`` evaluates the function at x.  ``out``, at least
     ``buffers`` float arrays of x's size, serves as its buffers when given,
@@ -263,7 +236,6 @@ class TestFunction:
     name: str
     fn: object
     tree: CoefficientTree
-    ball_radius: float = None
     buffers: int = 3
 
 
@@ -297,7 +269,8 @@ def signal_spec(spec, j0: int, jmax: int) -> tuple:
         ball = ball_from_spec(params)
     except ValueError as exc:
         raise ValueError(f"signal.random_besov: {exc}") from exc
-    # the draw is in floats: at s <= 64 its level weights up to level 12 stay below 2^774
+    # the draw is in floats: at s <= 64 its level weights up to level 12 stay below 2^774;
+    # pi and r keep a float field's range, though the draw reads only 1/pi and never r
     for key, top in (("s", 64), ("pi", sys.float_info.max), ("r", sys.float_info.max)):
         if getattr(ball, key) != INF and getattr(ball, key) > top:
             raise ValueError(f"signal.random_besov: {key} must be at most {top:g}"
@@ -313,8 +286,9 @@ def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunctio
     ones are normalized to sup norm 1.  A spec {"random_besov": {"s": ...,
     "pi": ..., "seed": ...}} draws detail coefficients with magnitudes
     2^{-j(s + 1/2 - 1/pi)} 2^{-j/pi} u, u uniform on [1/2, 1] with random
-    signs, which places the function inside a Besov ball of computable
-    radius (each level's weighted term is at most 1).
+    signs, which places the function inside the Besov ball of the draw at
+    u = 1 (each detail level's weighted term is at most 1, the scaling
+    block's at most 2^{1/pi}).  The fine index r does not enter the draw.
     """
     j0 = basis.coarsest_level
     name, ball, seed = signal_spec(spec, j0, jmax)
@@ -322,22 +296,18 @@ def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunctio
     if ball is not None:
         s, inv_pi = float(ball.s), float(_inv(ball.pi))
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xBE50)))
-        mags, coeffs = [], []
+        coeffs = []
         for j in range(j0 - 1, jmax + 1):
             dim = 1 << max(j, j0)
-            mags.append(np.full(dim, 2.0 ** (-j * (s + 0.5 - inv_pi)) * 2.0 ** (-j * inv_pi)))
+            mag = 2.0 ** (-j * (s + 0.5 - inv_pi)) * 2.0 ** (-j * inv_pi)
             u = rng.uniform(0.5, 1.0, dim)
-            coeffs.append(mags[-1] * u * rng.choice([-1.0, 1.0], dim))
+            coeffs.append(mag * u * rng.choice([-1.0, 1.0], dim))
         tree = CoefficientTree(j0=j0, jmax=jmax, alpha=coeffs[0], beta=coeffs[1:])
-        # the draw at u = 1, whose seminorm bounds every draw's
-        bound = CoefficientTree(j0=j0, jmax=jmax, alpha=mags[0], beta=mags[1:])
 
         def fn(x, out=None, _basis=basis, _tree=tree):
             return evaluate_tree(_basis, _tree, x, out)
 
-        return TestFunction(name=name, fn=fn, tree=tree,
-                            ball_radius=besov_seminorm(bound, ball.s, ball.pi, ball.r),
-                            buffers=1 + _row_buffers(basis))
+        return TestFunction(name=name, fn=fn, tree=tree, buffers=1 + _row_buffers(basis))
 
     raw = _NORMALIZED.get(name) or _RAW[name]
     peak = _sup_norm(raw) if name in _NORMALIZED else 1.0

@@ -38,8 +38,8 @@ from .basis import (CoefficientTree, _analysis, _first_cell, _gram_row, _grid_se
 from .besov import ball_from_spec, make_test_function, rate_spec, signal_spec
 # generate_sample is not called here; perfbench/tests/test_perfbench.py
 # asserts that perfbench's tracing leaves this binding the original function.
-from .design import (DesignDensity, _draw_sample, _seed_state, _streams, _words,  # noqa: F401
-                     density_from_spec, generate_sample)
+from .design import (_draw_sample, _seed_state, _streams, _words, density_from_spec,  # noqa: F401
+                     generate_sample)
 from .estimator import _weights, block_grid, block_statistics, threshold_tree
 
 _Z95 = 1.959963984540054
@@ -97,8 +97,9 @@ class ExperimentConfig:
     conc_block: int = 0
     conc_mu: float | None = None
 
-    def validate(self) -> DesignDensity:
-        """Check every field and return the design density the config describes.
+    def validate(self) -> tuple:
+        """Check every field and return the design density the config
+        describes and the tuple of block grids of ``n_grid``, in its order.
 
         Float fields must hold finite floats.  Raises ValueError naming the
         first malformed or out-of-range field.
@@ -135,15 +136,14 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"basis_family: {exc}") from exc
         check_refine_depth(self.basis_family, self.refine_depth)
-        for n in ns:  # p and each n must give a block geometry
-            block_grid(n, self.p, j0)
+        grids = tuple(block_grid(int(n), self.p, j0) for n in ns)  # p and each n must fit
         signal_spec(self.signal, j0, self.jmax)
         try:
             ball = ball_from_spec(self.ball)
             rate_spec(ball.s, ball.pi, ball.r, self.p)
         except ValueError as exc:
             raise ValueError(f"ball: {exc}") from exc
-        return density_from_spec(self.density)
+        return density_from_spec(self.density), grids
 
 
 def replication_seed(master_seed: int, n: int, rep: int) -> int:
@@ -254,10 +254,10 @@ def wilson_upper(successes: int, trials: int, z: float = _Z95) -> float:
 
 
 def _materialize(config: ExperimentConfig):
-    density = config.validate()
+    density, grids = config.validate()
     basis = make_basis(config.basis_family, config.refine_depth)
     signal = make_test_function(config.signal, basis, config.jmax)
-    return basis, density, signal
+    return basis, density, signal, grids
 
 
 def _replicate(config: ExperimentConfig, basis, grid, density, signal) -> CoefficientTree:
@@ -336,20 +336,19 @@ def run_rate_experiment(config: ExperimentConfig) -> RiskReport:
     relative 1e-12 of the grid's ``_grid_risks``), at any other p from
     ``_grid_risks`` itself.
     """
-    basis, density, signal = _materialize(config)
+    basis, density, signal, grids = _materialize(config)
     _check_slope_grid(config)
     ball = ball_from_spec(config.ball)
     rate = rate_spec(ball.s, ball.pi, ball.r, config.p)
     truth = signal.fn(midpoint_grid(config.risk_grid))
-    ns = tuple(int(n) for n in config.n_grid)
+    ns = tuple(grid.n for grid in grids)
     R = config.replications
     rules = [("block", config.d)]
     if config.compare_term:
         rules += [("hard", config.term_c), ("soft", config.term_c)]
     buf = np.empty(config.risk_grid)
 
-    def risks_at(n):
-        grid = block_grid(n, config.p, basis.coarsest_level)
+    def risks_at(grid):
         stack = _replicate(config, basis, grid, density, signal)
         cell = _first_cell(basis, grid.j_high + 1, config.risk_grid)
         projection = _projection(cell, truth, buf) if config.p == 2 else None
@@ -360,7 +359,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RiskReport:
                            else _grid_risks(lifted, cell, truth, config.p, buf))
         return risks
 
-    risks = {n: risks_at(n) for n in ns}
+    risks = {grid.n: risks_at(grid) for grid in grids}
     means = [float(risks[n][:, 0].mean()) for n in ns]
     errs = [float(risks[n][:, 0].std(ddof=1) / math.sqrt(R)) for n in ns]
     slope, intercept, slope_err = fit_rate(zip(ns, means))
@@ -419,16 +418,14 @@ class MomentReport:
     passed: bool
 
 
-def _check_diagnose_ranges(config: ExperimentConfig) -> None:
+def _check_diagnose_ranges(config: ExperimentConfig, grids) -> None:
     """Check the moment check's (level, translate) and the concentration
-    check's (level, block) against the estimator's levels at every n of
-    ``n_grid``.
+    check's (level, block) against the estimator's levels in the ``grids``
+    of ``n_grid``.
 
     Raises ConfigError naming the config field and the ``n_grid`` entry.
     """
-    j0 = coarsest_level(config.basis_family)
-    for n in config.n_grid:
-        grid = block_grid(n, config.p, j0)
+    for grid in grids:
         for level_field, index_field, count in (
             ("moment_level", "moment_index", lambda j: 1 << j),
             ("conc_level", "conc_block", grid.block_count),
@@ -438,24 +435,22 @@ def _check_diagnose_ranges(config: ExperimentConfig) -> None:
             if not grid.j_low <= j <= top:
                 raise ConfigError(
                     f"{level_field}={j} outside the estimator levels {grid.j_low}..{top} "
-                    f"at n={n} of n_grid (at most jmax={config.jmax})"
+                    f"at n={grid.n} of n_grid (at most jmax={config.jmax})"
                 )
             if not 0 <= index < count(j):
                 raise ConfigError(
-                    f"{index_field}={index} out of range at level {j}, n={n} of n_grid"
+                    f"{index_field}={index} out of range at level {j}, n={grid.n} of n_grid"
                 )
 
 
-def coefficient_deviations(config: ExperimentConfig, n: int, basis, density, signal) -> dict:
-    """Coefficient errors beta_hat - beta of every replication at n.
+def coefficient_deviations(config: ExperimentConfig, grid, basis, density, signal) -> dict:
+    """Coefficient errors beta_hat - beta of every replication at ``grid.n``.
 
-    Returns {j: (replications, 2^j) matrix} for each estimator level j at n
-    up to the signal's jmax.  Each sample is drawn once and its scaling sums
-    computed once, in the order drawn, so several checks share one pass.
+    Returns {j: (replications, 2^j) matrix} for each level j of the block
+    grid up to the signal's jmax.  Each sample is drawn once and its scaling
+    sums computed once, in the order drawn, so several checks share one pass.
     """
-    grid = block_grid(n, config.p, basis.coarsest_level)
     levels = range(grid.j_low, min(grid.j_high, signal.tree.jmax) + 1)
-
     stack = _replicate(config, basis, grid, density, signal)
     return {j: stack.detail(j) - signal.tree.detail(j) for j in levels}
 
@@ -506,9 +501,10 @@ class ConcentrationReport:
     passed: bool
 
 
-def _score_concentration(config: ExperimentConfig, devs: dict) -> ConcentrationReport:
+def _score_concentration(config: ExperimentConfig, grids, devs: dict) -> ConcentrationReport:
     """Score the concentration check on the config's (conc_level, conc_block)
-    from {n: {j: deviations}}; ``conc_mu`` None means mu = 2 d.
+    from the block ``grids`` of ``n_grid`` and {n: {j: deviations}};
+    ``conc_mu`` None means mu = 2 d.
 
     The gating event is block statistic >= mu/2 * n^{-1/2}; the envelope is
     4 n^{-p}.  A sweep over smaller and larger mu is reported alongside (the
@@ -519,12 +515,10 @@ def _score_concentration(config: ExperimentConfig, devs: dict) -> ConcentrationR
     factors = np.array([0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.0])
     sweep = sorted({float(m) for m in np.round(mu * factors, 10)} | {mu})
     gated = sweep.index(mu)
-    ns = tuple(devs)
-    j0 = coarsest_level(config.basis_family)
+    ns = tuple(grid.n for grid in grids)
     hits, envs, medians = [], [], []
-    for n in ns:
-        edges = block_grid(n, p, j0).boundaries(j)
-        stats = block_statistics(devs[n][j], edges, p)[:, block]
+    for n, grid in zip(ns, grids):
+        stats = block_statistics(devs[n][j], grid.boundaries(j), p)[:, block]
         cuts = 0.5 * np.array(sweep) / math.sqrt(n)
         hits.append(np.count_nonzero(stats[:, None] >= cuts, axis=0).tolist())
         envs.append(4.0 * n ** (-p))
@@ -555,14 +549,12 @@ def run_diagnostics(config: ExperimentConfig) -> tuple[MomentReport, Concentrati
     Both fields' ranges are checked at every n before any sample is drawn;
     then every (n, replication) sample is drawn once for both checks.
     """
-    basis, density, signal = _materialize(config)
+    basis, density, signal, grids = _materialize(config)
     _check_slope_grid(config)
-    _check_diagnose_ranges(config)
-    devs = {
-        int(n): coefficient_deviations(config, int(n), basis, density, signal)
-        for n in config.n_grid
-    }
-    return _score_moment(config, devs), _score_concentration(config, devs)
+    _check_diagnose_ranges(config, grids)
+    devs = {grid.n: coefficient_deviations(config, grid, basis, density, signal)
+            for grid in grids}
+    return _score_moment(config, devs), _score_concentration(config, grids, devs)
 
 
 def calibrate_threshold(
@@ -585,9 +577,8 @@ def calibrate_threshold(
         master_seed=seed,
         p=p,
     )
-    basis, density, signal = _materialize(config)
-    grid = block_grid(n, p, basis.coarsest_level)
-    devs = coefficient_deviations(config, n, basis, density, signal)
+    basis, density, signal, (grid,) = _materialize(config)
+    devs = coefficient_deviations(config, grid, basis, density, signal)
     stats = np.concatenate(
         [block_statistics(dev, grid.boundaries(j), p) for j, dev in devs.items()], axis=1
     )

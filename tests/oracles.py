@@ -5,8 +5,9 @@ oracle of ``basis._grid_series``; the einsum over the stacked rows: the
 oracle of ``basis.evaluate_tree``; the column sums of the direct mother rows:
 the translate concentration of acceptance criterion 5; the scalar block
 statistic: the oracle of ``estimator.block_statistics``; the direct inverse
-CDF: the oracle of the design draw; and NumPy's own SeedSequence and PCG64:
-the oracle of the closed-form seeding.
+CDF: the oracle of the design draw; NumPy's own SeedSequence and PCG64:
+the oracle of the closed-form seeding; and the truncated Besov sequence
+seminorm, which certifies that a ``random_besov`` draw lies in its ball.
 
 The package computes every coefficient tree as scaling sums one level above
 the finest detail level plus the periodic analysis filter bank, and every
@@ -18,6 +19,8 @@ twice, once per scale, and builds an index array per table row.
 as the grid series once did.  ``direct_ppf`` finds each point's segment
 with the full cumulative masses and clips it, as the sampler once did.
 """
+
+import math
 
 import numpy as np
 
@@ -159,3 +162,29 @@ def numpy_streams(seed):
     """The (design, noise) generators of ``seed`` as NumPy builds them:
     ``default_rng`` on each child of ``SeedSequence(seed).spawn(2)``."""
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
+
+
+def besov_seminorm(tree: CoefficientTree, s: float, pi: float, r: float) -> float:
+    """Truncated Besov sequence norm of a coefficient tree.
+
+    Levels are weighted by 2^{j(s + 1/2 - 1/pi)}; the scaling block enters as
+    the level below j0.  Infinite pi/r take max over translates / sup over
+    levels.  The value is the norm of the finite tree; tails beyond jmax are
+    not extrapolated.
+    """
+    s = float(s)
+    inv_pi = 0.0 if pi == math.inf else 1.0 / float(pi)
+    levels = [(tree.j0 - 1, tree.alpha)]
+    levels += [(tree.j0 + i, b) for i, b in enumerate(tree.beta)]
+    terms = []
+    for j, coeffs in levels:
+        a = np.abs(np.asarray(coeffs, dtype=float))
+        if pi == math.inf:
+            level_norm = a.max() if a.size else 0.0
+        else:
+            level_norm = float(np.sum(a ** float(pi)) ** inv_pi)
+        terms.append(2.0 ** (j * (s + 0.5 - inv_pi)) * level_norm)
+    terms = np.asarray(terms)
+    if r == math.inf:
+        return float(terms.max())
+    return float(np.sum(terms ** float(r)) ** (1.0 / float(r)))

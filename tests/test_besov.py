@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from blockshrink import (
     BesovBall,
     CoefficientTree,
-    besov_seminorm,
     make_test_function,
     midpoint_grid,
     rate_spec,
 )
 from blockshrink import besov
+from oracles import besov_seminorm
 
 INF = math.inf
 
@@ -209,13 +209,14 @@ class TestMakeTestFunction:
     def test_random_besov_membership(self, haar, seed):
         tf = make_test_function({"random_besov": {"s": 2, "pi": 2, "seed": seed}}, haar, jmax=10)
         value = besov_seminorm(tf.tree, 2, 2, INF)
-        assert value <= tf.ball_radius
+        assert value <= _hand_rolled_radius(BesovBall(2, 2, INF), haar.coarsest_level, 10)
 
     def test_random_besov_finite_r_membership(self, haar):
         tf = make_test_function(
             {"random_besov": {"s": 1.5, "pi": 3, "r": 2, "seed": 4}}, haar, jmax=9
         )
-        assert besov_seminorm(tf.tree, 1.5, 3, 2) <= tf.ball_radius
+        radius = _hand_rolled_radius(BesovBall(1.5, 3, 2), haar.coarsest_level, 9)
+        assert besov_seminorm(tf.tree, 1.5, 3, 2) <= radius
 
     @pytest.mark.parametrize("family", ["haar", "db4"])
     @pytest.mark.parametrize("params", _RADIUS_SPECS, ids=_RADIUS_IDS)
@@ -228,9 +229,11 @@ class TestMakeTestFunction:
         j0 = basis.coarsest_level
         mags = [np.full(1 << max(j, j0), _level_magnitude(ball, j)) for j in range(j0 - 1, jmax + 1)]
         bound = CoefficientTree(j0, jmax, mags[0], mags[1:])
-        assert tf.ball_radius == besov_seminorm(bound, ball.s, ball.pi, ball.r)
-        want = _hand_rolled_radius(ball, j0, jmax)
-        assert tf.ball_radius == pytest.approx(want, rel=1e-14, abs=0)
+        for drawn, mag in zip([tf.tree.alpha, *tf.tree.beta], mags):
+            assert np.all((0.5 * mag <= np.abs(drawn)) & (np.abs(drawn) <= mag))
+        radius = besov_seminorm(bound, ball.s, ball.pi, ball.r)
+        assert radius == pytest.approx(_hand_rolled_radius(ball, j0, jmax), rel=1e-14, abs=0)
+        assert besov_seminorm(tf.tree, ball.s, ball.pi, ball.r) <= radius
 
     def test_random_besov_parses_its_ball_once(self, haar, monkeypatch):
         calls, parse = [], besov.ball_from_spec

@@ -791,3 +791,14 @@ def test_run_names_each_clamped_sample_size(tmp_path, capsys, command, overrides
     assert f"coarse level clamped at {clamped}\n" in stdout
     report = "report.json" if command == "rates" else "diagnostics.json"
     assert "clamp" not in (out / report).read_text()
+
+
+def test_random_besov_at_the_float_range_runs_without_a_warning(tmp_path, capsys):
+    """A random_besov signal whose pi and r lie near the top of the float
+    range runs cleanly with warnings as errors: the draw reads only 1/pi."""
+    signal = {"random_besov": {"s": 2, "pi": 1e300, "r": 1e300, "seed": 1}}
+    cfg = write_config(tmp_path / "c.json", signal=signal)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["rates", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (0, "")

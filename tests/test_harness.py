@@ -33,7 +33,7 @@ from blockshrink import (
     wilson_upper,
 )
 from blockshrink import harness
-from blockshrink.basis import _coefficient_tree, _first_cell, _grid_series, _lift
+from blockshrink.basis import _coefficient_tree, _first_cell, _grid_series, _lift, coarsest_level
 from blockshrink.design import _streams
 from blockshrink.estimator import _weights
 from oracles import numpy_seed, numpy_streams, periodized
@@ -335,8 +335,8 @@ class TestMomentDiagnostics:
         basis = make_basis("haar", 12)
         from blockshrink.harness import _materialize, coefficient_deviations
 
-        basis, density, signal = _materialize(config)
-        devs = coefficient_deviations(config, 512, basis, density, signal)
+        basis, density, signal, grids = _materialize(config)
+        devs = coefficient_deviations(config, grids[0], basis, density, signal)
         assert sorted(devs) == [2, 3]
         for j, dev in devs.items():
             assert dev.shape == (50, 1 << j)
@@ -425,14 +425,14 @@ class TestDiagnosePass:
             conc_block=0,
         )
         moment, conc = run_diagnostics(config)
-        basis, density, signal = harness._materialize(config)
+        basis, density, signal, grids = harness._materialize(config)
 
         devs = {
-            n: harness.coefficient_deviations(config, n, basis, density, signal)
-            for n in config.n_grid
+            grid.n: harness.coefficient_deviations(config, grid, basis, density, signal)
+            for grid in grids
         }
         assert moment == harness._score_moment(config, devs)
-        assert conc == harness._score_concentration(config, devs)
+        assert conc == harness._score_concentration(config, grids, devs)
 
     def test_each_report_ignores_the_other_checks_level(self):
         """Sharing one pass, each check scores its own level: the reports at
@@ -463,14 +463,13 @@ class TestDiagnosePass:
         and a repeated call replays the same rows."""
         config = ExperimentConfig(signal={"name": "doppler"}, n_grid=(512,), replications=50,
                                   master_seed=31)
-        basis, density, signal = harness._materialize(config)
-        runs = [harness.coefficient_deviations(config, 512, basis, density, signal)
+        basis, density, signal, (grid,) = harness._materialize(config)
+        runs = [harness.coefficient_deviations(config, grid, basis, density, signal)
                 for _ in range(calls)]
         devs = runs[-1]
         for run in runs[:-1]:
             assert sorted(run) == sorted(devs)
             assert all(np.array_equal(run[j], devs[j]) for j in devs)
-        grid = block_grid(512, config.p, basis.coarsest_level)
         assert sorted(devs) == list(grid.levels())
         for rep in range(config.replications):
             sample = generate_sample(signal.fn, density, 512, replication_seed(31, 512, rep))
@@ -503,6 +502,35 @@ class TestDiagnosePass:
             run_diagnostics(config)
 
 
+class TestBlockGridsBuiltOnce:
+    """``validate`` builds the block grid of each n of ``n_grid``, and a run
+    reads those grids instead of building them again."""
+
+    @pytest.mark.parametrize("run", [run_rate_experiment, run_diagnostics],
+                             ids=["rates", "diagnose"])
+    def test_one_block_grid_per_n(self, monkeypatch, run):
+        calls, original = [], harness.block_grid
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "block_grid", counting)
+        config = ExperimentConfig(signal={"name": "zero"}, n_grid=(256, 512, 1024),
+                                  replications=50, slope_tol=5.0, moment_level=2,
+                                  moment_index=1, conc_level=2, conc_block=0)
+        run(config)
+        assert [args[0] for args in calls] == list(config.n_grid)
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    @pytest.mark.parametrize("p", [2, 3.5, 5])
+    def test_validate_returns_each_n_block_grid(self, family, p):
+        config = ExperimentConfig(basis_family=family, p=p, n_grid=(1024, 4096, 1 << 16))
+        _, grids = config.validate()
+        j0 = coarsest_level(family)
+        assert grids == tuple(block_grid(n, p, j0) for n in config.n_grid)
+
+
 class TestReplicate:
     N = 1 << 14
 
@@ -511,8 +539,7 @@ class TestReplicate:
         config = ExperimentConfig(basis_family=family,
                                   density={"kind": "linear-tilt", "slope": 0.5},
                                   n_grid=(self.N,), replications=50)
-        basis, density, signal = harness._materialize(config)
-        grid = block_grid(self.N, config.p, basis.coarsest_level)
+        basis, density, signal, (grid,) = harness._materialize(config)
         config = replace(config, replications=2)
         harness._replicate(config, basis, grid, density, signal)
         tracemalloc.start()
@@ -563,9 +590,8 @@ class TestReplicate:
             seen.clear()
             config = ExperimentConfig(basis_family=family, signal=signal, n_grid=(n,),
                                       density=_ENGINE_DENSITIES["piecewise"], replications=50)
-            basis, density, sig = harness._materialize(config)
+            basis, density, sig, (grid,) = harness._materialize(config)
             sig.fn = spy("signal", sig.fn, 1)
-            grid = block_grid(n, config.p, basis.coarsest_level)
             harness._replicate(replace(config, replications=3), basis, grid, density, sig)
             assert sorted(seen) == ["draw", "rows", "sample", "signal", "weights"]
             for name, outs in seen.items():
@@ -613,8 +639,8 @@ def _engine(density):
     """``_replicate``'s inputs at n = 256 with 50 doppler replications."""
     config = ExperimentConfig(signal={"name": "doppler"}, density=_ENGINE_DENSITIES[density],
                               n_grid=(256,), replications=50)
-    basis, dens, signal = harness._materialize(config)
-    return config, basis, block_grid(256, config.p, basis.coarsest_level), dens, signal
+    basis, dens, signal, (grid,) = harness._materialize(config)
+    return config, basis, grid, dens, signal
 
 
 @pytest.mark.parametrize("density", sorted(_ENGINE_DENSITIES))
