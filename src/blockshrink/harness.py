@@ -136,7 +136,7 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"basis_family: {exc}") from exc
         check_refine_depth(self.basis_family, self.refine_depth)
-        grids = tuple(block_grid(int(n), self.p, j0) for n in ns)  # p and each n must fit
+        grids = tuple(block_grid(int(n), self.p, j0) for n in ns)  # block_grid checks p and n
         signal_spec(self.signal, j0, self.jmax)
         try:
             ball = ball_from_spec(self.ball)
