@@ -32,6 +32,7 @@ from .design import (
     linear_tilt_design,
     piecewise_design,
     read_sample_csv,
+    replication_seed,
     uniform_design,
 )
 from .estimator import (
@@ -51,7 +52,6 @@ from .harness import (
     RiskReport,
     calibrate_threshold,
     fit_rate,
-    replication_seed,
     run_diagnostics,
     run_rate_experiment,
     wilson_upper,

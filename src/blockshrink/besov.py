@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import (CoefficientTree, WaveletBasis, _row_buffers, evaluate_tree,
+from .basis import (CoefficientTree, WaveletBasis, _lift, _row_buffers, evaluate_tree,
                     exact_coefficients, midpoint_grid)
 
 INF = math.inf
@@ -303,8 +303,10 @@ def make_test_function(spec, basis: WaveletBasis, jmax: int = 10) -> TestFunctio
             u = rng.uniform(0.5, 1.0, dim)
             coeffs.append(mag * u * rng.choice([-1.0, 1.0], dim))
         tree = CoefficientTree(j0=j0, jmax=jmax, alpha=coeffs[0], beta=coeffs[1:])
+        top, lifted = _lift(basis, tree)  # lifted once: fn runs on every draw
+        flat = CoefficientTree(j0=top, jmax=top - 1, alpha=lifted, beta=[])
 
-        def fn(x, out=None, _basis=basis, _tree=tree):
+        def fn(x, out=None, _basis=basis, _tree=flat):
             return evaluate_tree(_basis, _tree, x, out)
 
         return TestFunction(name=name, fn=fn, tree=tree, buffers=1 + _row_buffers(basis))

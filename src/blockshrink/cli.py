@@ -34,7 +34,10 @@ def parse_config(path) -> ExperimentConfig:
     """Load and validate a JSON experiment config, filling defaults.
 
     Unknown keys, a key repeated in any object, and out-of-range parameters
-    raise ConfigError naming the offending field.
+    raise ConfigError naming the offending field.  The file is validated as
+    written, so a malformed ``master_seed`` is refused even where ``--seed``
+    replaces it.  ``run_rate_experiment`` and ``run_diagnostics`` validate
+    the config they are handed again, as they must for any API caller.
     """
     path = Path(path)
     if not path.exists():

@@ -1,4 +1,5 @@
-"""Known design densities on [0, 1] and observation sampling.
+"""Known design densities on [0, 1], observation sampling, and the seeds
+and streams of every replication.
 
 The regression model is y_i = f(x_i) + z_i with x_i drawn i.i.d. from a known
 density g (bounded away from 0 and infinity) and z_i independent standard
@@ -256,47 +257,29 @@ def _words(value) -> list:
     return words
 
 
-@functools.cache
-def _hash_constants(n_entropy: int, n_words: int) -> list:
-    """The (XOR, multiply) constants of NumPy's hash on ``n_entropy`` words,
-    one pair per array operation of ``_seed_state``: word i into pool row i,
-    pool word src into every other row (row src takes a placeholder), each
-    word past the pool into every row, then the ``n_words`` output words.
-    Call k of a hash XORs in its constant k and multiplies by constant k + 1."""
-    def running(init, mult, count):  # the constants init * mult^k mod 2^32
-        return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(count)],
-                        dtype=np.uint32)[:, None]
-
-    calls = _POOL * _POOL + _POOL * max(0, n_entropy - _POOL)
-    src, dst = np.indices((_POOL, _POOL))
-    pairs = _POOL + (_POOL - 1) * src + dst - (dst >= src)  # the call of (src, dst)
-    rows = [np.arange(_POOL), *pairs, *np.arange(_POOL * _POOL, calls).reshape(-1, _POOL)]
-    mixing, output = running(_INIT_A, _MULT_A, calls + 1), running(_INIT_B, _MULT_B, n_words + 1)
-    return [(mixing[r], mixing[r + 1]) for r in rows] + [(output[:-1], output[1:])]
-
-
 def _seed_state(entropy, n_words: int) -> np.ndarray:
     """``SeedSequence(words).generate_state(n_words, np.uint32)`` for many
     entropies at once, row i of the result holding word i.
 
     ``entropy`` lists the uint32 entropy words in order, each an integer or
     an array; the arrays broadcast, and each position of their common shape
-    is one entropy.  The hash is NumPy's: the words fill the pool (zeros
-    pad it), every pool word is mixed into every other, any words beyond
-    the pool are mixed into each pool word, and the pool is cycled out
-    through a second hash.  Laid out as (words, batch), each word is hashed
-    into all pool rows at once; a pool word's own row is then restored.
+    is one entropy.  The steps are NumPy's ``mix_entropy`` and
+    ``generate_state`` in NumPy's order, each one uint32 operation on the
+    whole batch: the words fill the pool (zeros pad it), every pool word is
+    mixed into every other, any words past the pool are mixed into each pool
+    word, and the pool is cycled out through a second hash.
     """
     shape = np.broadcast_shapes(*map(np.shape, entropy)) or (1,)
     words = np.zeros((max(len(entropy), _POOL),) + shape, dtype=np.uint32)
     for i, word in enumerate(entropy):
         words[i] = word
-    words = words.reshape(len(words), -1)
-    *groups, output = _hash_constants(len(entropy), n_words)
+    const = _INIT_A
 
-    def hashmix(value, xor, mult):
-        value = value ^ xor
-        value *= mult
+    def hashmix(value, mult=_MULT_A):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value *= const
         value ^= value >> 16
         return value
 
@@ -306,14 +289,16 @@ def _seed_state(entropy, n_words: int) -> np.ndarray:
         x ^= x >> 16
         return x
 
-    pool = hashmix(words[:_POOL], *groups[0])
+    pool = [hashmix(word) for word in words[:_POOL]]
     for src in range(_POOL):
-        row = pool[src]  # mixed into every row, its own too, which it then restores
-        pool = mix(pool, hashmix(row, *groups[1 + src]))
-        pool[src] = row
-    for word, consts in zip(words[_POOL:len(entropy)], groups[1 + _POOL:]):
-        pool = mix(pool, hashmix(word, *consts))
-    return hashmix(pool[np.arange(n_words) % _POOL], *output).reshape((n_words,) + shape)
+        for dst in range(_POOL):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    return np.stack([hashmix(pool[i % _POOL], _MULT_B) for i in range(n_words)])
 
 
 @functools.cache
@@ -351,6 +336,19 @@ def _streams(seed_words):
     for design, noise in zip(*material):
         yield (np.random.Generator(np.random.PCG64(preset(design))),
                np.random.Generator(np.random.PCG64(preset(noise))))
+
+
+def replication_seed(master_seed: int, n: int, rep: int) -> int:
+    """Collision-resistant 64-bit seed for one replication: NumPy's
+    ``SeedSequence((master_seed, n, rep)).generate_state(1, np.uint64)``."""
+    low, high = _replication_words(master_seed, n, _words(rep))
+    return int(low[0]) | int(high[0]) << 32
+
+
+def _replication_words(master_seed: int, n: int, rep_words) -> np.ndarray:
+    """The (low, high) uint32 words of ``replication_seed`` for every rep at
+    once: ``rep_words`` are the reps' words, integers or arrays over them."""
+    return _seed_state([*_words(master_seed), *_words(n), *rep_words], 2)
 
 
 # Rows formatted and written per string; bounds the text held in memory.

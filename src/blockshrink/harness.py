@@ -38,7 +38,7 @@ from .basis import (CoefficientTree, _analysis, _first_cell, _gram_row, _grid_se
 from .besov import ball_from_spec, make_test_function, rate_spec, signal_spec
 # generate_sample is not called here; perfbench/tests/test_perfbench.py
 # asserts that perfbench's tracing leaves this binding the original function.
-from .design import (_draw_sample, _seed_state, _streams, _words, density_from_spec,  # noqa: F401
+from .design import (_draw_sample, _replication_words, _streams, density_from_spec,  # noqa: F401
                      generate_sample)
 from .estimator import _weights, block_grid, block_statistics, threshold_tree
 
@@ -144,19 +144,6 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"ball: {exc}") from exc
         return density_from_spec(self.density), grids
-
-
-def replication_seed(master_seed: int, n: int, rep: int) -> int:
-    """Collision-resistant 64-bit seed for one replication: NumPy's
-    ``SeedSequence((master_seed, n, rep)).generate_state(1, np.uint64)``."""
-    low, high = _replication_words(master_seed, n, _words(rep))
-    return int(low[0]) | int(high[0]) << 32
-
-
-def _replication_words(master_seed: int, n: int, rep_words) -> np.ndarray:
-    """The (low, high) uint32 words of ``replication_seed`` for every rep at
-    once: ``rep_words`` are the reps' words, integers or arrays over them."""
-    return _seed_state([*_words(master_seed), *_words(n), *rep_words], 2)
 
 
 def _lp_mean(diff: np.ndarray, p: float) -> float:

@@ -154,7 +154,7 @@ def direct_ppf(density, u):
 
 
 def numpy_seed(master_seed, n, rep):
-    """``harness.replication_seed`` through NumPy's SeedSequence."""
+    """``design.replication_seed`` through NumPy's SeedSequence."""
     return int(np.random.SeedSequence((master_seed, n, rep)).generate_state(1, np.uint64)[0])
 
 

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from blockshrink import (
     BesovBall,
     CoefficientTree,
+    evaluate_tree,
     make_test_function,
     midpoint_grid,
     rate_spec,
 )
+from blockshrink import basis as wavelet_basis
 from blockshrink import besov
 from oracles import besov_seminorm
 
@@ -252,6 +254,34 @@ class TestMakeTestFunction:
         from oracles import direct_evaluate
 
         assert np.allclose(tf.fn(x), direct_evaluate(haar, tf.tree, x))
+
+    @pytest.mark.parametrize("family", ["haar", "db4"])
+    def test_random_besov_fn_runs_no_synthesis_step(self, request, family, monkeypatch):
+        """The drawn tree is lifted once, when the signal is made, so its fn
+        runs no inverse DWT step however often a run evaluates it."""
+        basis = request.getfixturevalue(family)
+        tf = make_test_function({"random_besov": {"s": 2, "pi": 2, "seed": 1}}, basis, jmax=8)
+        steps, step = [], wavelet_basis._inverse_step
+
+        def counting(*args):
+            steps.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(wavelet_basis, "_inverse_step", counting)
+        tf.fn(midpoint_grid(1024))
+        tf.fn(0.3)
+        assert steps == []
+        evaluate_tree(basis, tf.tree, 0.3)  # the spy sees the drawn tree's lift
+        assert len(steps) == 8 - basis.coarsest_level + 1
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db6"])
+    def test_random_besov_fn_is_its_tree_series_bit_for_bit(self, request, family):
+        basis = request.getfixturevalue(family)
+        tf = make_test_function({"random_besov": {"s": 2, "pi": 2, "seed": 1}}, basis, jmax=8)
+        for x in (0.3, midpoint_grid(1024), np.random.default_rng(5).random((7, 9))):
+            got, expected = tf.fn(x), evaluate_tree(basis, tf.tree, x)
+            assert np.shape(got) == np.shape(x) == np.shape(expected)
+            assert np.array_equal(got, expected)
 
 
 # The named signals as expressions that allocate every temporary: the

@@ -477,6 +477,18 @@ class TestDispatch:
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["rates", "diagnose"])
+    def test_malformed_master_seed_is_refused_under_the_seed_flag(self, tmp_path, capsys,
+                                                                  command):
+        """The file is validated as written: ``--seed`` replacing its
+        ``master_seed`` does not let a malformed one through."""
+        cfg = write_config(tmp_path / "c.json", **_DIAGNOSE_OK, master_seed=-1)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--seed", "5", "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_started_before_run(self, tmp_path, monkeypatch):
         called = []
 

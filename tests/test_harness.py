@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockshrink import (
     CoefficientTree,
@@ -34,7 +36,7 @@ from blockshrink import (
 )
 from blockshrink import harness
 from blockshrink.basis import _coefficient_tree, _first_cell, _grid_series, _lift, coarsest_level
-from blockshrink.design import _streams
+from blockshrink.design import _replication_words, _seed_state, _streams
 from blockshrink.estimator import _weights
 from oracles import numpy_seed, numpy_streams, periodized
 
@@ -613,7 +615,7 @@ class TestSeeding:
     @pytest.mark.parametrize("n", [256, 1 << 20])
     def test_seeds_and_streams_equal_numpy(self, master_seed, n):
         reps = np.arange(self.R, dtype=np.uint32)
-        low, high = harness._replication_words(master_seed, n, [reps])
+        low, high = _replication_words(master_seed, n, [reps])
         states = [[rng.bit_generator.state for rng in rngs] for rngs in _streams([low, high])]
         assert len(states) == self.R
         for rep in (0, self.R - 1):
@@ -625,6 +627,29 @@ class TestSeeding:
     def test_negative_master_seed_raises(self):
         with pytest.raises(ValueError, match="non-negative"):
             replication_seed(-1, 256, 0)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_seed_state_equals_numpy_on_any_entropy(self, data):
+        """Any 1-9 entropy words (the pool holds 4) over the whole uint32
+        range, 1-8 output words, each word an integer or an array that
+        broadcasts into one (rows, cols) batch: every entropy of the batch
+        gets NumPy's ``generate_state``."""
+        rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        entropy = []
+        for _ in range(data.draw(st.integers(1, 9))):
+            shape = data.draw(st.sampled_from([(), (cols,), (rows, 1), (rows, cols)]))
+            size = math.prod(shape)
+            values = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=size, max_size=size))
+            entropy.append(values[0] if shape == () else np.array(values, np.uint32).reshape(shape))
+        n_words = data.draw(st.integers(1, 8))
+        state = _seed_state(entropy, n_words)
+        batch = np.broadcast_shapes(*map(np.shape, entropy)) or (1,)
+        assert state.shape == (n_words, *batch) and state.dtype == np.uint32
+        for pos in np.ndindex(batch):
+            words = [int(np.broadcast_to(word, batch)[pos]) for word in entropy]
+            expected = np.random.SeedSequence(words).generate_state(n_words, np.uint32)
+            assert state[(slice(None), *pos)].tolist() == expected.tolist()
 
 
 # One design of each kind for the engine's per-replication checks.
@@ -670,7 +695,7 @@ class TestReplicationChecks:
         """The draw whose design stream is replication rep's (by NumPy's
         seeding) gets one NaN; only that one, and the run raises."""
         config, basis, grid, dens, signal = _engine(density)
-        bad_seed = harness.replication_seed(config.master_seed, 256, rep)
+        bad_seed = replication_seed(config.master_seed, 256, rep)
         bad_state = numpy_streams(bad_seed)[0].bit_generator.state
         draw, hits = harness._draw_sample, []
 
