@@ -382,11 +382,15 @@ def _forward_step(basis: WaveletBasis, scaling: np.ndarray):
     """One periodic analysis step (Mallat 1989), the adjoint of _inverse_step:
     level-(j + 1) scaling coefficients a to the level-j alpha_k = sum_m h_m
     a_{2k+m} and beta_k = sum_m g_m a_{2k+m}, with 2k + m wrapped mod 2^(j+1),
-    along the last axis."""
+    along the last axis, each sum added from zero in tap order, one tap at a time."""
     dim = scaling.shape[-1]
-    taps = scaling[..., (np.arange(0, dim, 2) + np.arange(basis.filters.shape[1])[:, None]) % dim]
-    out = (basis.filters[:, :, None] * taps[..., None, :, :]).sum(axis=-2)
-    return out[..., 0, :], out[..., 1, :]
+    alpha = np.zeros(scaling.shape[:-1] + (dim // 2,))
+    beta = np.zeros_like(alpha)
+    for m, (hm, gm) in enumerate(basis.filters.T):
+        tap = scaling[..., np.arange(m, m + dim, 2) % dim]
+        alpha += hm * tap
+        beta += gm * tap
+    return alpha, beta
 
 
 def _lift(basis: WaveletBasis, tree: CoefficientTree):

@@ -30,8 +30,8 @@ from .harness import (_MAX_RISK_GRID, ConfigError, ExperimentConfig, run_diagnos
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Load and validate a JSON experiment config, filling defaults.
+def parse_config(path) -> tuple[ExperimentConfig, tuple]:
+    """Load and validate a JSON experiment config; return it, defaults filled, and its grids.
 
     Unknown keys, a key repeated in any object, and out-of-range parameters
     raise ConfigError naming the offending field.  The file is validated as
@@ -43,7 +43,11 @@ def parse_config(path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"--config {path} cannot be read: {exc}") from exc
+    try:
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -53,10 +57,10 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     config = ExperimentConfig(**raw)
     try:
-        config.validate()
+        _, grids, _ = config.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return config
+    return config, grids
 
 
 def _unique_keys(pairs) -> dict:
@@ -165,22 +169,20 @@ def _start_run(args):
         raise ConfigError(f"threads={args.threads} must be at least 1")
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed={args.seed} must be non-negative")
-    config = parse_config(args.config)
+    config, grids = parse_config(args.config)
     if args.seed is not None:
         config.master_seed = args.seed
-    return config, Path(args.out_dir), started_at
+    return config, grids, Path(args.out_dir), started_at
 
 
-def _print_clamped(config: ExperimentConfig) -> None:
+def _print_clamped(grids) -> None:
     """Name the sizes of ``n_grid`` whose coarse level was clamped to the fine one."""
-    j0 = coarsest_level(config.basis_family)
-    clamped = [str(n) for n in config.n_grid if block_grid(n, config.p, j0).clamped]
-    if clamped:
+    if clamped := [str(grid.n) for grid in grids if grid.clamped]:
         print(f"coarse level clamped at n={', '.join(clamped)}")
 
 
 def _cmd_rates(args) -> int:
-    config, out_dir, started_at = _start_run(args)
+    config, grids, out_dir, started_at = _start_run(args)
     report = run_rate_experiment(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "report.json"
@@ -193,7 +195,7 @@ def _cmd_rates(args) -> int:
     print(f"signal {report.meta['signal']}, zone {report.zone}")
     for n, risk, err in zip(report.n_grid, report.mean_risk, report.stderr):
         print(f"  n={n:>7d}  mean risk {risk:.6g} +- {err:.2g}")
-    _print_clamped(config)
+    _print_clamped(grids)
     print(
         f"slope {report.slope:.4f} (se {report.slope_stderr:.4f}) vs theory "
         f"{report.theory_risk_exponent:.4f} -> {'PASS' if report.passed else 'FAIL'}"
@@ -210,7 +212,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    config, out_dir, started_at = _start_run(args)
+    config, grids, out_dir, started_at = _start_run(args)
     moment, conc = run_diagnostics(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "diagnostics.json"
@@ -225,7 +227,7 @@ def _cmd_diagnose(args) -> int:
     )
     _write_manifest(out_dir, "diagnose", asdict(config), config.master_seed, started_at,
                     [args.config], [json_path, csv_path])
-    _print_clamped(config)
+    _print_clamped(grids)
     print(
         f"moment decay at (j={moment.j}, k={moment.k}): slope {moment.slope:.4f} "
         f"vs {moment.theory_exponent} -> {'PASS' if moment.passed else 'FAIL'}"
@@ -284,6 +286,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        # made at the first output, but refused here if a file is in its way
+        out_dir = Path(args.out_dir)
+        existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+        if not existing.is_dir():
+            raise ValueError(f"--out-dir {out_dir}: {existing} exists and is not a directory")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

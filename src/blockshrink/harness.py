@@ -49,7 +49,13 @@ _MAX_RISK_GRID = 1 << 20
 # tracemalloc-traced allocations on a named signal and 72 MiB on a
 # random_besov one, Haar at 40 and 48 MiB.
 _MAX_SAMPLE = 1 << 20
-# Most replications: the (R, 2^(j_high + 1)) stack is 0.25 GiB at n = 2^20.
+# The concentration check's mu sweep, in multiples of mu.
+_MU_FACTORS = (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.0)
+# Most replications: at n = 2^20 the (R, 2^(j_high + 1)) stack of scaling
+# sums is then 0.25 GiB.  A per-n stage peaks at about 4 stacks of traced
+# allocations while it builds the tree (the sums, the stack and the analysis)
+# plus the replication workspace, and at about 6 in rates' rules loop, which
+# holds the tree while each rule thresholds a copy, lifts and scores it.
 _MAX_REPLICATIONS = 1 << 16
 
 # Accepted Python types per annotated field type; bool is never a number here.
@@ -98,8 +104,8 @@ class ExperimentConfig:
     conc_mu: float | None = None
 
     def validate(self) -> tuple:
-        """Check every field and return the design density the config
-        describes and the tuple of block grids of ``n_grid``, in its order.
+        """Check every field; return the config's design density, the block
+        grids of ``n_grid`` in its order and the ball's ``RateSpec`` at p.
 
         Float fields must hold finite floats.  Raises ValueError naming the
         first malformed or out-of-range field.
@@ -140,10 +146,10 @@ class ExperimentConfig:
         signal_spec(self.signal, j0, self.jmax)
         try:
             ball = ball_from_spec(self.ball)
-            rate_spec(ball.s, ball.pi, ball.r, self.p)
+            rate = rate_spec(ball.s, ball.pi, ball.r, self.p)
         except ValueError as exc:
             raise ValueError(f"ball: {exc}") from exc
-        return density_from_spec(self.density), grids
+        return density_from_spec(self.density), grids, rate
 
 
 def _lp_mean(diff: np.ndarray, p: float) -> float:
@@ -241,10 +247,10 @@ def wilson_upper(successes: int, trials: int, z: float = _Z95) -> float:
 
 
 def _materialize(config: ExperimentConfig):
-    density, grids = config.validate()
+    density, grids, rate = config.validate()
     basis = make_basis(config.basis_family, config.refine_depth)
     signal = make_test_function(config.signal, basis, config.jmax)
-    return basis, density, signal, grids
+    return basis, density, signal, grids, rate
 
 
 def _replicate(config: ExperimentConfig, basis, grid, density, signal) -> CoefficientTree:
@@ -323,10 +329,8 @@ def run_rate_experiment(config: ExperimentConfig) -> RiskReport:
     relative 1e-12 of the grid's ``_grid_risks``), at any other p from
     ``_grid_risks`` itself.
     """
-    basis, density, signal, grids = _materialize(config)
+    basis, density, signal, grids, rate = _materialize(config)
     _check_slope_grid(config)
-    ball = ball_from_spec(config.ball)
-    rate = rate_spec(ball.s, ball.pi, ball.r, config.p)
     truth = signal.fn(midpoint_grid(config.risk_grid))
     ns = tuple(grid.n for grid in grids)
     R = config.replications
@@ -410,8 +414,15 @@ def _check_diagnose_ranges(config: ExperimentConfig, grids) -> None:
     check's (level, block) against the estimator's levels in the ``grids``
     of ``n_grid``.
 
-    Raises ConfigError naming the config field and the ``n_grid`` entry.
+    Raises ConfigError naming the config field and the ``n_grid`` entry, or
+    naming ``conc_mu`` (``d`` when it is None) for a mu whose sweep overflows.
     """
+    mu = float(2.0 * config.d if config.conc_mu is None else config.conc_mu)
+    if not math.isfinite(mu * max(_MU_FACTORS) * 1e10):  # np.round(., 10) scales by 1e10
+        name = "d" if config.conc_mu is None else "conc_mu"
+        raise ConfigError(f"{name}={reprlib.repr(getattr(config, name))} gives mu={mu:g}, whose "
+                          f"sweep overflows: mu must stay below "
+                          f"{sys.float_info.max / (max(_MU_FACTORS) * 1e10):.4g}")
     for grid in grids:
         for level_field, index_field, count in (
             ("moment_level", "moment_index", lambda j: 1 << j),
@@ -499,8 +510,7 @@ def _score_concentration(config: ExperimentConfig, grids, devs: dict) -> Concent
     """
     j, block, p = config.conc_level, config.conc_block, config.p
     mu = float(2.0 * config.d if config.conc_mu is None else config.conc_mu)
-    factors = np.array([0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.0])
-    sweep = sorted({float(m) for m in np.round(mu * factors, 10)} | {mu})
+    sweep = sorted({float(m) for m in np.round(mu * np.array(_MU_FACTORS), 10)} | {mu})
     gated = sweep.index(mu)
     ns = tuple(grid.n for grid in grids)
     hits, envs, medians = [], [], []
@@ -536,7 +546,7 @@ def run_diagnostics(config: ExperimentConfig) -> tuple[MomentReport, Concentrati
     Both fields' ranges are checked at every n before any sample is drawn;
     then every (n, replication) sample is drawn once for both checks.
     """
-    basis, density, signal, grids = _materialize(config)
+    basis, density, signal, grids, _ = _materialize(config)
     _check_slope_grid(config)
     _check_diagnose_ranges(config, grids)
     devs = {grid.n: coefficient_deviations(config, grid, basis, density, signal)
@@ -564,7 +574,7 @@ def calibrate_threshold(
         master_seed=seed,
         p=p,
     )
-    basis, density, signal, (grid,) = _materialize(config)
+    basis, density, signal, (grid,), _ = _materialize(config)
     devs = coefficient_deviations(config, grid, basis, density, signal)
     stats = np.concatenate(
         [block_statistics(dev, grid.boundaries(j), p) for j, dev in devs.items()], axis=1

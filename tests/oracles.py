@@ -1,4 +1,5 @@
 """Direct per-level sums and series evaluation: the oracles of the filter bank;
+the broadcast product over all taps: the oracle of ``basis._forward_step``;
 the direct per-point basis values and the periodized translates: the oracles
 of ``basis._level_rows`` and the basis check; the sum of outer products: the
 oracle of ``basis._grid_series``; the einsum over the stacked rows: the
@@ -80,6 +81,16 @@ def direct_coefficients(basis, values, j0, jmax):
     alpha = direct_sums(basis, "father", j0, x, w)
     beta = [direct_sums(basis, "mother", j, x, w) for j in range(j0, jmax + 1)]
     return CoefficientTree(j0=j0, jmax=jmax, alpha=alpha, beta=beta)
+
+
+def broadcast_step(basis, scaling):
+    """One periodic analysis step as ``basis._forward_step`` once took it:
+    all taps gathered at once, then the sum over the taps of one
+    (..., 2, S, 2^j) broadcast product of both filters."""
+    dim = scaling.shape[-1]
+    taps = scaling[..., (np.arange(0, dim, 2) + np.arange(basis.filters.shape[1])[:, None]) % dim]
+    out = (basis.filters[:, :, None] * taps[..., None, :, :]).sum(axis=-2)
+    return out[..., 0, :], out[..., 1, :]
 
 
 def direct_evaluate(basis, tree, x):

@@ -1,6 +1,7 @@
 """Wavelet basis construction, evaluation, quadrature and synthesis."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,9 +20,9 @@ from blockshrink import basis as basis_module
 from blockshrink.basis import (_analysis, _first_cell, _forward_step, _gram_row, _grid_series,
                                _inverse_step, _level_rows, _lift, _row_buffers, _scaling_sums,
                                _validate_basis)
-from oracles import (direct_coefficients, direct_evaluate, direct_level_terms, direct_sums,
-                     outer_series, periodized, stacked_concentration, stacked_evaluate,
-                     stacked_rows)
+from oracles import (broadcast_step, direct_coefficients, direct_evaluate, direct_level_terms,
+                     direct_sums, outer_series, periodized, stacked_concentration,
+                     stacked_evaluate, stacked_rows)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -511,6 +512,40 @@ class TestStackedFilterBank:
             for row, a, b in zip(stack, alpha, beta):
                 want_a, want_b = _forward_step(basis, row)
                 assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+
+    def test_forward_step_equals_the_broadcast_sum_byte_for_byte(self, request, family):
+        """Adding one tap at a time from zero gives the bytes of the sum over
+        the broadcast product of all taps, on stacks and on single rows, the
+        sign of every zero included."""
+        basis = request.getfixturevalue(family)
+        rng = np.random.default_rng(33)
+        for j in range(basis.coarsest_level, 9):
+            stack = rng.normal(size=(self.R, 2 << j))
+            stack[0] = 0.0
+            stack[1] = -0.0
+            stack[2, ::3] = -0.0
+            stack[3] *= 10.0 ** rng.integers(-300, 300, 2 << j)
+            for scaling in (stack, stack[None], *stack):
+                for got, want in zip(_forward_step(basis, scaling), broadcast_step(basis, scaling),
+                                     strict=True):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_analysis_holds_at_most_two_and_a_half_stacks(self, request, family):
+        """The analysis of an (R, 2^10) stack holds the tree (one stack), one
+        gathered tap and its product at once: a traced peak of about two
+        stacks beyond its input.  The broadcast product over all taps peaked
+        at 4, 7 and 10 stacks for Haar, db4 and db6."""
+        basis = request.getfixturevalue(family)
+        stack = np.random.default_rng(34).normal(size=(256, 1 << 10))
+        _analysis(basis, basis.coarsest_level, 9, stack)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _analysis(basis, basis.coarsest_level, 9, stack)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * stack.nbytes
 
     def test_inverse_step(self, request, family):
         basis = request.getfixturevalue(family)

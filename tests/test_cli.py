@@ -48,7 +48,7 @@ def write_config(path, raw="", /, **overrides):
 
 class TestParseConfig:
     def test_minimal_config_gets_defaults(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path / "c.json"))
+        cfg, _ = parse_config(write_config(tmp_path / "c.json"))
         assert cfg.d == 4.0
         assert cfg.basis_family == "haar"
         assert cfg.risk_grid == 1 << 14
@@ -78,7 +78,7 @@ class TestParseConfig:
         # p = 4 clamps j_low at n = 1024; neither parsing nor the run warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cfg = parse_config(write_config(tmp_path / "c.json", p=4, n_grid=[1024, 2048]))
+            cfg, _ = parse_config(write_config(tmp_path / "c.json", p=4, n_grid=[1024, 2048]))
         assert cfg.p == 4
 
     def test_refine_depth_checked_at_parse_time(self, tmp_path):
@@ -88,7 +88,7 @@ class TestParseConfig:
             parse_config(write_config(tmp_path / "c.json", refine_depth=7))
 
     def test_risk_grid_capped(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path / "c.json", risk_grid=1 << 20))
+        cfg, _ = parse_config(write_config(tmp_path / "c.json", risk_grid=1 << 20))
         assert cfg.risk_grid == 1 << 20
         with pytest.raises(ConfigError, match="risk_grid=2097152"):
             parse_config(write_config(tmp_path / "c.json", risk_grid=1 << 21))
@@ -96,11 +96,11 @@ class TestParseConfig:
     def test_ball_takes_values_past_the_float_range(self, tmp_path):
         # the rate calculator is exact, unlike a random_besov draw
         ball = {"s": 1000, "pi": "1e400", "r": "1e400"}
-        assert parse_config(write_config(tmp_path / "c.json", ball=ball)).ball == ball
+        assert parse_config(write_config(tmp_path / "c.json", ball=ball))[0].ball == ball
 
     def test_n_grid_capped(self, tmp_path):
         # rejected at parse time, so no run ever draws a sample of this size
-        cfg = parse_config(write_config(tmp_path / "c.json", n_grid=[256, 1 << 20]))
+        cfg, _ = parse_config(write_config(tmp_path / "c.json", n_grid=[256, 1 << 20]))
         assert cfg.n_grid == [256, 1 << 20]
         with pytest.raises(ConfigError, match=r"n_grid .*1048576, got \[256, 512, 10{13}\]"):
             parse_config(write_config(tmp_path / "c.json", n_grid=[256, 512, 10**13]))
@@ -199,6 +199,10 @@ _DIAGNOSE_RANGES = [
     ({**_DIAGNOSE_OK, "moment_index": 99}, "moment_index", "moment_index-99"),
     ({**_DIAGNOSE_OK, "conc_level": 9}, "conc_level", "conc_level-9"),
     ({**_DIAGNOSE_OK, "conc_block": 99}, "conc_block", "conc_block-99"),
+    # a mu whose sweep, up to 2 mu and rounded to 10 decimals, leaves the
+    # float range: named by conc_mu, or by d when conc_mu is null (mu = 2 d)
+    ({**_DIAGNOSE_OK, "conc_mu": 1e298}, "conc_mu=1e+298", "conc_mu-sweep-overflows"),
+    ({**_DIAGNOSE_OK, "d": 1e308}, "d=1e+308 gives mu=inf", "d-mu-overflows"),
 ]
 
 
@@ -268,7 +272,7 @@ def test_parse_config_fuzz(tmp_path, overrides, keep_base):
     else:
         path.write_text(json.dumps(overrides))
     try:
-        assert isinstance(parse_config(path), ExperimentConfig)
+        assert isinstance(parse_config(path)[0], ExperimentConfig)
     except ConfigError:
         pass
 
@@ -488,6 +492,55 @@ class TestDispatch:
         assert main(argv) == 2
         assert "master_seed" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_mu_checks_leave_rates_and_a_finite_sweep_alone(self, tmp_path, capsys):
+        """rates reads no mu, so a d whose mu = 2 d overflows still runs; a
+        conc_mu whose sweep stays finite runs diagnose without a warning."""
+        cfg = write_config(tmp_path / "c.json", **_DIAGNOSE_OK, d=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["rates", "--config", str(cfg), "--out-dir", str(tmp_path / "r")]) == 0
+            cfg = write_config(tmp_path / "c.json", **_DIAGNOSE_OK, conc_mu=1e297)
+            argv = ["diagnose", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]
+            assert main(argv) in (0, 1)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["rates", "diagnose"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_exits_two_naming_the_flag(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "adir"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path = tmp_path / "latin1.json"
+            path.write_bytes(b'\xff{"p": 2}')
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--config {path}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["basis", "fit", "rates", "diagnose"])
+    @pytest.mark.parametrize("target", ["afile", "afile/sub"])
+    def test_out_dir_on_a_file_exits_two_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                          command, target):
+        def work(*args, **kwargs):
+            raise AssertionError("the command ran before its --out-dir was checked")
+
+        for name in ("make_basis", "read_sample_csv", "run_rate_experiment", "run_diagnostics"):
+            monkeypatch.setattr(cli, name, work)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        csv = tmp_path / "sample.csv"
+        _write_sample(csv)
+        inputs = {"basis": [], "fit": ["--input", str(csv)],
+                  "rates": ["--config", str(write_config(tmp_path / "c.json"))],
+                  "diagnose": ["--config", str(write_config(tmp_path / "c.json"))]}
+        out = tmp_path / target
+        assert main([command, *inputs[command], "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--out-dir {out}: {afile} exists and is not a directory" in err
+        assert "Traceback" not in err and afile.read_text() == "kept\n"
 
     def test_manifest_started_before_run(self, tmp_path, monkeypatch):
         called = []

@@ -337,7 +337,7 @@ class TestMomentDiagnostics:
         basis = make_basis("haar", 12)
         from blockshrink.harness import _materialize, coefficient_deviations
 
-        basis, density, signal, grids = _materialize(config)
+        basis, density, signal, grids, _ = _materialize(config)
         devs = coefficient_deviations(config, grids[0], basis, density, signal)
         assert sorted(devs) == [2, 3]
         for j, dev in devs.items():
@@ -427,7 +427,7 @@ class TestDiagnosePass:
             conc_block=0,
         )
         moment, conc = run_diagnostics(config)
-        basis, density, signal, grids = harness._materialize(config)
+        basis, density, signal, grids, _ = harness._materialize(config)
 
         devs = {
             grid.n: harness.coefficient_deviations(config, grid, basis, density, signal)
@@ -465,7 +465,7 @@ class TestDiagnosePass:
         and a repeated call replays the same rows."""
         config = ExperimentConfig(signal={"name": "doppler"}, n_grid=(512,), replications=50,
                                   master_seed=31)
-        basis, density, signal, (grid,) = harness._materialize(config)
+        basis, density, signal, (grid,), _ = harness._materialize(config)
         runs = [harness.coefficient_deviations(config, grid, basis, density, signal)
                 for _ in range(calls)]
         devs = runs[-1]
@@ -528,7 +528,7 @@ class TestBlockGridsBuiltOnce:
     @pytest.mark.parametrize("p", [2, 3.5, 5])
     def test_validate_returns_each_n_block_grid(self, family, p):
         config = ExperimentConfig(basis_family=family, p=p, n_grid=(1024, 4096, 1 << 16))
-        _, grids = config.validate()
+        _, grids, _ = config.validate()
         j0 = coarsest_level(family)
         assert grids == tuple(block_grid(n, p, j0) for n in config.n_grid)
 
@@ -541,7 +541,7 @@ class TestReplicate:
         config = ExperimentConfig(basis_family=family,
                                   density={"kind": "linear-tilt", "slope": 0.5},
                                   n_grid=(self.N,), replications=50)
-        basis, density, signal, (grid,) = harness._materialize(config)
+        basis, density, signal, (grid,), _ = harness._materialize(config)
         config = replace(config, replications=2)
         harness._replicate(config, basis, grid, density, signal)
         tracemalloc.start()
@@ -592,7 +592,7 @@ class TestReplicate:
             seen.clear()
             config = ExperimentConfig(basis_family=family, signal=signal, n_grid=(n,),
                                       density=_ENGINE_DENSITIES["piecewise"], replications=50)
-            basis, density, sig, (grid,) = harness._materialize(config)
+            basis, density, sig, (grid,), _ = harness._materialize(config)
             sig.fn = spy("signal", sig.fn, 1)
             harness._replicate(replace(config, replications=3), basis, grid, density, sig)
             assert sorted(seen) == ["draw", "rows", "sample", "signal", "weights"]
@@ -664,7 +664,7 @@ def _engine(density):
     """``_replicate``'s inputs at n = 256 with 50 doppler replications."""
     config = ExperimentConfig(signal={"name": "doppler"}, density=_ENGINE_DENSITIES[density],
                               n_grid=(256,), replications=50)
-    basis, dens, signal, (grid,) = harness._materialize(config)
+    basis, dens, signal, (grid,), _ = harness._materialize(config)
     return config, basis, grid, dens, signal
 
 
